@@ -1,51 +1,43 @@
-//! T12 — Event-driven vs blocking front-end: throughput under concurrent
-//! replayed workloads, a decision-differential gate, and the 10k-idle-
-//! connection scaling claim.
+//! T12 — Event-driven front-end: a decision-differential gate against the
+//! in-process proxy, and the 10k-idle-connection scaling claim.
 //!
 //! The workload is a *recorded replay*: each application's handler
 //! workload runs once in-process through a recording port, producing the
-//! flat per-session statement script the handlers actually issued. Both
-//! front-ends then replay the identical script, which makes three
-//! experiments possible:
+//! flat per-session statement script the handlers actually issued. Two
+//! experiments:
 //!
-//! 1. **Differential gate** (runs before any sweep, and alone under
-//!    `--smoke`): a single client replays the calendar (and, in the full
-//!    run, forum) script sequentially against an event-driven and a
-//!    blocking server. Every per-statement outcome, the aggregate
-//!    allowed/blocked counters, and the decision journals (template hash,
-//!    verdict, cache tier) must match exactly — zero mismatches or the
-//!    process exits nonzero. The event loop is an *execution* strategy,
-//!    never a *decision* strategy.
+//! 1. **Differential gate** (always first): a single client replays the
+//!    calendar (and, in the full run, forum) script sequentially against
+//!    an event-driven server, and the same script runs straight through a
+//!    fresh in-process `SqlProxy` with `ProxyConfig::default()`. Every
+//!    per-statement outcome (rows, affected count, or blocked reason
+//!    label), the aggregate allowed/blocked counters, and the decision
+//!    journals (template hash, verdict, cache tier) must match exactly —
+//!    zero mismatches or the process exits nonzero. The event loop is an
+//!    *execution* strategy, never a *decision* strategy.
 //! 2. **Idle-connection smoke**: the event-driven server holds ~10k open
 //!    idle connections; the process thread count must not grow by even
-//!    one, and a real client must still get decisions through the crowd
-//!    (the blocking front-end would need a thread per connection).
-//! 3. **Throughput sweep** (full run only): m ∈ {1,2,4,8} closed-loop
-//!    clients replay their share of the script over persistent
-//!    connections, pipelining each request's statements in one burst.
-//!    The blocking server gets `workers = max(m, 4)` so it is never
-//!    starved by design; the event server runs its single reactor thread
-//!    with cross-connection batching. Results go to `BENCH_t12.json`.
+//!    one, and a real client must still get decisions through the crowd.
+//!
+//! This binary writes no BENCH file; the checked-in `BENCH_t12.json` is a
+//! historical throughput sweep (see `EXPERIMENTS.md`).
 //!
 //! Run: `cargo run -p bep-bench --bin t12_reactor --release [-- --smoke]`
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use appdsl::{DslError, PortOutcome, QueryPort};
 use appsim::{ProxyPort, Scale, SimApp, CALENDAR, FORUM};
-use bep_bench::{app_env, f2, header, proxy_for, row, salted_params, AppEnv};
+use bep_bench::gate::{compare_runs, gate_run, GateSide, GateTarget};
+use bep_bench::{app_env, proxy_for, AppEnv};
 use bep_core::{ProxyConfig, SqlProxy};
 use bep_server::reactor::raise_nofile_limit;
-use bep_server::{Client, Server, ServerConfig, ServerMode};
+use bep_server::{Client, Server, ServerConfig};
 use sqlir::Value;
 
 /// Requests drawn per app.
 const N_REQUESTS: usize = 96;
-/// Rounds each client replays its share in the throughput sweep.
-const ROUNDS: usize = 3;
-/// Client counts swept.
-const CLIENTS: [usize; 4] = [1, 2, 4, 8];
 /// Idle connections held in the scaling smoke.
 const IDLE_TARGET: usize = 10_000;
 /// Per-operation client I/O timeout.
@@ -71,141 +63,64 @@ impl QueryPort for RecordingPort<'_> {
     }
 }
 
-/// Runs the workload `ROUNDS` times in-process and records one flat
-/// statement script per round. Create-style requests are salted per
-/// round ([`salted_params`]) so replaying round r never re-inserts round
-/// r-1's primary keys — the recording proxy's database evolves exactly
-/// as the replay servers' databases will.
-fn record_scripts(env: &AppEnv) -> Vec<Script> {
+/// Runs the workload once in-process and records the flat statement
+/// script its handlers issued.
+fn record_script(env: &AppEnv) -> Script {
     let proxy = proxy_for(env, ProxyConfig::default());
     let app = env.sim.app();
-    let mut scripts = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        let mut script = Vec::with_capacity(env.requests.len());
-        for req in &env.requests {
-            let session = proxy.begin_session(req.session.clone());
-            let mut port = RecordingPort {
-                inner: ProxyPort {
-                    proxy: &proxy,
-                    session,
-                },
-                log: Vec::new(),
-            };
-            let handler = app.handler(&req.handler).expect("handler");
-            let params = salted_params(&req.params, round);
-            let _ = appdsl::run_handler(
-                &mut port,
-                handler,
-                &req.session,
-                &params,
-                appdsl::Limits::default(),
-            );
-            proxy.end_session(session);
-            script.push((req.session.clone(), port.log));
-        }
-        scripts.push(script);
+    let mut script = Vec::with_capacity(env.requests.len());
+    for req in &env.requests {
+        let session = proxy.begin_session(req.session.clone());
+        let mut port = RecordingPort {
+            inner: ProxyPort {
+                proxy: &proxy,
+                session,
+            },
+            log: Vec::new(),
+        };
+        let handler = app.handler(&req.handler).expect("handler");
+        let _ = appdsl::run_handler(
+            &mut port,
+            handler,
+            &req.session,
+            &req.params,
+            appdsl::Limits::default(),
+        );
+        proxy.end_session(session);
+        script.push((req.session.clone(), port.log));
     }
-    scripts
-}
-
-fn config_for(mode: ServerMode, clients: usize) -> ServerConfig {
-    match mode {
-        ServerMode::EventDriven => ServerConfig::default(),
-        ServerMode::Blocking => ServerConfig {
-            mode: ServerMode::Blocking,
-            // Persistent connections occupy a worker each; never starve
-            // the sweep by design.
-            workers: clients.max(4),
-            queue_capacity: clients.max(4),
-            ..Default::default()
-        },
-    }
-}
-
-fn mode_label(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::EventDriven => "event",
-        ServerMode::Blocking => "blocking",
-    }
+    script
 }
 
 // ------------------------------------------------------- differential gate
 
-/// What one sequential replay produced, in comparable form.
-struct GateRun {
-    outcomes: Vec<String>,
-    allowed: u64,
-    blocked: u64,
-    /// Journal provenance: (template hash, verdict, cache tier).
-    journal: Vec<(u64, &'static str, &'static str)>,
-}
-
-fn gate_replay(env: &AppEnv, script: &Script, mode: ServerMode) -> GateRun {
-    let proxy: Arc<SqlProxy> = Arc::new(proxy_for(env, ProxyConfig::default()));
-    let server = Server::start(Arc::clone(&proxy), config_for(mode, 1), "127.0.0.1:0")
-        .expect("start server");
-    let mut client = Client::connect(server.addr(), IO).expect("connect");
-    let mut outcomes = Vec::new();
-    for (session_bindings, stmts) in script {
-        let session = client.begin(session_bindings.clone()).expect("begin");
-        for (sql, bindings) in stmts {
-            outcomes.push(match client.execute(session, sql, bindings) {
-                Ok(out) => format!("{out:?}"),
-                Err(e) => format!("error: {e}"),
-            });
+/// Replays `script` sequentially, one session per request, logging every
+/// statement's normalised outcome.
+fn replay(script: &Script) -> impl FnOnce(&mut GateTarget<'_>) -> Vec<String> + '_ {
+    move |target| {
+        let mut log = Vec::new();
+        for (session_bindings, stmts) in script {
+            let session = target.begin(session_bindings.clone());
+            for (sql, bindings) in stmts {
+                log.push(format!("{:?}", target.execute(session, sql, bindings)));
+            }
+            target.end(session);
         }
-        client.end(session).expect("end");
-    }
-    drop(client);
-    server.shutdown();
-    let stats = proxy.stats();
-    let journal = proxy
-        .journal()
-        .events_since(0, usize::MAX)
-        .into_iter()
-        .map(|ev| (ev.template_hash, ev.verdict.label(), ev.tier.label()))
-        .collect();
-    GateRun {
-        outcomes,
-        allowed: stats.allowed,
-        blocked: stats.blocked,
-        journal,
+        log
     }
 }
 
-/// Replays `script` through both front-ends and counts decision
-/// mismatches (must be zero).
+/// Replays `script` over the wire and through a fresh in-process proxy
+/// and counts decision mismatches (must be zero).
 fn differential_gate(sim: &'static SimApp, env: &AppEnv, script: &Script) -> usize {
-    let event = gate_replay(env, script, ServerMode::EventDriven);
-    let blocking = gate_replay(env, script, ServerMode::Blocking);
-    let mut mismatches = 0;
-    assert_eq!(
-        event.outcomes.len(),
-        blocking.outcomes.len(),
-        "{}: replay lengths differ",
-        sim.name
-    );
-    for (i, (e, b)) in event.outcomes.iter().zip(&blocking.outcomes).enumerate() {
-        if e != b {
-            mismatches += 1;
-            eprintln!("{} stmt {i}: event={e} blocking={b}", sim.name);
-        }
-    }
-    if (event.allowed, event.blocked) != (blocking.allowed, blocking.blocked) {
-        mismatches += 1;
-        eprintln!(
-            "{}: counters diverged: event {}/{} vs blocking {}/{}",
-            sim.name, event.allowed, event.blocked, blocking.allowed, blocking.blocked
-        );
-    }
-    if event.journal != blocking.journal {
-        mismatches += 1;
-        eprintln!("{}: journal provenance diverged", sim.name);
-    }
+    let fresh = || Arc::new(proxy_for(env, ProxyConfig::default()));
+    let event = gate_run(fresh(), GateSide::Wire, replay(script));
+    let local = gate_run(fresh(), GateSide::InProcess, replay(script));
+    let mismatches = compare_runs(sim.name, "event vs in-process", &event, &local);
     println!(
         "gate[{}]: {} statements, {} journal events, {} mismatches",
         sim.name,
-        event.outcomes.len(),
+        event.log.len(),
         event.journal.len(),
         mismatches
     );
@@ -318,177 +233,25 @@ fn idle_smoke(env: &AppEnv) -> IdleSmoke {
     }
 }
 
-// -------------------------------------------------------- throughput sweep
-
-struct Measurement {
-    app: &'static str,
-    mode: &'static str,
-    clients: usize,
-    ops: usize,
-    wall_s: f64,
-    throughput: f64,
-    p50_us: f64,
-    p99_us: f64,
-    allowed: u64,
-    blocked: u64,
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
-}
-
-/// `m` closed-loop clients replay their round-robin share of the
-/// per-round scripts over persistent connections, pipelining each
-/// request's statements in one burst.
-fn drive(
-    sim: &'static SimApp,
-    env: &AppEnv,
-    scripts: &[Script],
-    mode: ServerMode,
-    m: usize,
-) -> Measurement {
-    let proxy: Arc<SqlProxy> = Arc::new(proxy_for(env, ProxyConfig::default()));
-    let server = Server::start(Arc::clone(&proxy), config_for(mode, m), "127.0.0.1:0")
-        .expect("start server");
-    let addr = server.addr();
-
-    let start = Instant::now();
-    let per_client: Vec<(Vec<f64>, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..m)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr, IO).expect("connect");
-                    let owned: Vec<(usize, u64)> = scripts[0]
-                        .iter()
-                        .enumerate()
-                        .skip(worker)
-                        .step_by(m)
-                        .map(|(i, (bindings, _))| {
-                            (i, client.begin(bindings.clone()).expect("begin"))
-                        })
-                        .collect();
-                    let mut latencies = Vec::new();
-                    let mut ops = 0usize;
-                    for script in scripts {
-                        for &(i, session) in &owned {
-                            let stmts = &script[i].1;
-                            if stmts.is_empty() {
-                                continue;
-                            }
-                            let t0 = Instant::now();
-                            let answers = client
-                                .execute_pipelined(session, stmts)
-                                .expect("pipelined burst");
-                            latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-                            ops += answers.len();
-                        }
-                    }
-                    for &(_, session) in &owned {
-                        client.end(session).expect("end");
-                    }
-                    (latencies, ops)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    server.shutdown();
-    let stats = proxy.stats();
-
-    let ops: usize = per_client.iter().map(|(_, o)| o).sum();
-    let mut latencies: Vec<f64> = per_client.into_iter().flat_map(|(l, _)| l).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    Measurement {
-        app: sim.name,
-        mode: mode_label(mode),
-        clients: m,
-        ops,
-        wall_s,
-        throughput: ops as f64 / wall_s,
-        p50_us: percentile(&latencies, 50.0),
-        p99_us: percentile(&latencies, 99.0),
-        allowed: stats.allowed,
-        blocked: stats.blocked,
-    }
-}
-
 // ------------------------------------------------------------------- main
-
-fn json_of(results: &[Measurement], cores: usize, gate_stmts: usize, idle: &IdleSmoke) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"t12_reactor\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {cores},\n"));
-    out.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
-    out.push_str(&format!("  \"requests_per_app\": {N_REQUESTS},\n"));
-    out.push_str(&format!(
-        "  \"differential_gate\": {{\"statements\": {gate_stmts}, \"mismatches\": 0}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"idle_smoke\": {{\"connections\": {}, \"threads_before\": {}, \
-         \"threads_while_held\": {}, \"roundtrip_ok\": {}}},\n",
-        idle.connections, idle.threads_before, idle.threads_while_held, idle.roundtrip_ok
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"mode\": \"{}\", \"clients\": {}, \"ops\": {}, \
-             \"wall_s\": {:.4}, \"throughput_ops_s\": {:.1}, \"burst_p50_us\": {:.1}, \
-             \"burst_p99_us\": {:.1}, \"allowed\": {}, \"blocked\": {}}}{}\n",
-            r.app,
-            r.mode,
-            r.clients,
-            r.ops,
-            r.wall_s,
-            r.throughput,
-            r.p50_us,
-            r.p99_us,
-            r.allowed,
-            r.blocked,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     if argv.get(1).map(String::as_str) == Some("--hold") {
         hold_connections(&argv[2], argv[3].parse().expect("--hold <addr> <n>"));
     }
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("host parallelism: {cores} core(s)");
+    let smoke = argv.iter().any(|a| a == "--smoke");
 
-    // Phase 1: the differential gate — always, before anything is swept.
+    // Phase 1: the differential gate — always, before anything else.
     let cal_env = app_env(&CALENDAR, 23, Scale::small(), N_REQUESTS);
-    let cal_scripts = record_scripts(&cal_env);
-    let mut mismatches = differential_gate(&CALENDAR, &cal_env, &cal_scripts[0]);
-    let mut gate_stmts: usize = cal_scripts[0].iter().map(|(_, s)| s.len()).sum();
-
-    let forum = if smoke {
-        None
-    } else {
+    let mut mismatches = differential_gate(&CALENDAR, &cal_env, &record_script(&cal_env));
+    if !smoke {
         let env = app_env(&FORUM, 23, Scale::small(), N_REQUESTS);
-        let scripts = record_scripts(&env);
-        mismatches += differential_gate(&FORUM, &env, &scripts[0]);
-        gate_stmts += scripts[0].iter().map(|(_, s)| s.len()).sum::<usize>();
-        Some((env, scripts))
-    };
+        mismatches += differential_gate(&FORUM, &env, &record_script(&env));
+    }
     assert_eq!(
         mismatches, 0,
-        "differential gate: the front-ends must decide identically"
+        "differential gate: the event server must decide like the in-process proxy"
     );
 
     // Phase 2: the 10k-idle-connection scaling claim.
@@ -506,74 +269,5 @@ fn main() {
         "holding {} idle connections must not grow the thread count",
         idle.connections
     );
-
-    if smoke {
-        println!("\nsmoke: differential gate clean, idle scaling holds");
-        return;
-    }
-
-    // Phase 3: the throughput sweep, both front-ends side by side.
-    let (forum_env, forum_scripts) = forum.expect("full run records forum");
-    let widths = [9usize, 9, 8, 7, 11, 10, 10, 7, 7];
-    header(
-        &[
-            "app", "mode", "clients", "ops", "ops/s", "b-p50-us", "b-p99-us", "ok", "denied",
-        ],
-        &widths,
-    );
-    let mut results: Vec<Measurement> = Vec::new();
-    for (sim, env, scripts) in [
-        (&CALENDAR, &cal_env, &cal_scripts),
-        (&FORUM, &forum_env, &forum_scripts),
-    ] {
-        for m in CLIENTS {
-            for mode in [ServerMode::Blocking, ServerMode::EventDriven] {
-                let r = drive(sim, env, scripts, mode, m);
-                row(
-                    &[
-                        r.app.to_string(),
-                        r.mode.to_string(),
-                        r.clients.to_string(),
-                        r.ops.to_string(),
-                        f2(r.throughput),
-                        f2(r.p50_us),
-                        f2(r.p99_us),
-                        r.allowed.to_string(),
-                        r.blocked.to_string(),
-                    ],
-                    &widths,
-                );
-                results.push(r);
-            }
-        }
-        println!();
-    }
-
-    // The headline claim: at the widest sweep point the event-driven
-    // front-end must out-run the blocking pool on both applications.
-    for app in [CALENDAR.name, FORUM.name] {
-        let of = |mode: &str| {
-            results
-                .iter()
-                .find(|r| r.app == app && r.mode == mode && r.clients == CLIENTS[CLIENTS.len() - 1])
-                .map(|r| r.throughput)
-                .unwrap_or(0.0)
-        };
-        let (event, blocking) = (of("event"), of("blocking"));
-        println!(
-            "{app} @ {} clients: event {:.1} ops/s vs blocking {:.1} ops/s ({:+.1}%)",
-            CLIENTS[CLIENTS.len() - 1],
-            event,
-            blocking,
-            (event / blocking - 1.0) * 100.0
-        );
-        assert!(
-            event > blocking,
-            "{app}: the event-driven front-end must beat the blocking pool at the widest point"
-        );
-    }
-
-    let json = json_of(&results, cores, gate_stmts, &idle);
-    std::fs::write("BENCH_t12.json", &json).expect("write BENCH_t12.json");
-    println!("\nwrote BENCH_t12.json ({} measurements)", results.len());
+    println!("\ndifferential gate clean, idle scaling holds");
 }

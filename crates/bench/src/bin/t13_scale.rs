@@ -1,19 +1,21 @@
 //! T13 — Scenario-fleet scale soak: the generated fleet (social, store,
 //! review) at 10^5 users each, Zipf traffic with churning sessions driven
-//! through the wire servers, a decision-differential gate, a thread
+//! through the wire server, a decision-differential gate, a thread
 //! sweep, and a resident-memory trajectory.
 //!
 //! Three experiments, in order:
 //!
 //! 1. **Differential gate** (always first): for every fleet app at a
-//!    small population, one sequential client drives the same seeded
-//!    traffic stream against an event-driven server, a blocking server,
-//!    and a second event-driven run with the same seed. Every
-//!    per-statement outcome, the aggregate allowed/blocked counters, and
-//!    the decision journals (template hash, verdict, cache tier) must
-//!    match across all three — the generated apps decide identically
-//!    regardless of front-end, and identically across reruns.
-//! 2. **Scale soak**: each (app, mode, workers) cell populates the app
+//!    small population, the same seeded traffic stream runs three times:
+//!    through one sequential client of an event-driven server, straight
+//!    through an in-process proxy (`TrafficEngine` + `run_handler`), and
+//!    through the event-driven server again with the same seed. Every
+//!    per-statement outcome (rows, affected count, or blocked reason
+//!    label), the aggregate allowed/blocked counters, and the decision
+//!    journals (template hash, verdict, cache tier) must match across all
+//!    three — the generated apps decide identically over the wire and
+//!    in-process, and identically across reruns.
+//! 2. **Scale soak**: each (app, workers) cell populates the app
 //!    at scale, starts a server, and lets `m` open-loop-ish workers each
 //!    drive an independent traffic engine (derived seed, disjoint
 //!    fresh-id range) over a persistent connection. The run is split
@@ -22,16 +24,17 @@
 //!    resident-memory-per-live-session trajectory. Decision errors — a
 //!    handler request proxy-blocked, or a raw probe not blocked — must
 //!    be zero in every cell.
-//! 3. **Thread sweep**: workers m ∈ {1,2,4} for both server modes. On a
-//!    multi-core host the sweep asserts multi-worker throughput does not
-//!    collapse; on a single core it only records the numbers.
+//! 3. **Thread sweep**: workers m ∈ {1,2,4}. On a multi-core host the
+//!    sweep asserts multi-worker throughput does not collapse; on a
+//!    single core it only records the numbers.
 //!
-//! `--smoke` runs the gate plus two short social-app cells at 10^4 users
-//! (seconds); the full run covers all 18 cells at 10^5 users and writes
-//! `BENCH_t13.json`.
+//! `--smoke` runs the gate plus one short social-app cell at 10^4 users
+//! (seconds); the full run covers all 9 cells at 10^5 users and writes
+//! `BENCH_t13.json` (the checked-in copy is historical; see
+//! `EXPERIMENTS.md`).
 //!
 //! `--users N` (e.g. `--users 1000000`) is the host-gated big cell: the
-//! gate, then a single event-driven soak of the first fleet app at N
+//! gate, then a single soak of the first fleet app at N
 //! users. Populating 10^6 users takes minutes and gigabytes, so this
 //! cell never runs in CI — results are recorded in `EXPERIMENTS.md`.
 //!
@@ -42,12 +45,13 @@ use std::time::{Duration, Instant};
 
 use appdsl::{run_handler, App, DslError, Limits, Outcome, PortOutcome, QueryPort};
 use appsim::AppSpec;
+use bep_bench::gate::{compare_runs, gate_run, GatePort, GateSide, GateTarget};
 use bep_bench::{f2, header, row};
 use bep_core::{read_process_memory, ComplianceChecker, ProxyConfig, SqlProxy};
 use bep_scenario::{
     derive, fleet, GeneratedApp, TrafficConfig, TrafficEngine, TrafficOp, FRESH_ID_BASE,
 };
-use bep_server::{Client, ExecOutcome, Server, ServerConfig, ServerMode};
+use bep_server::{Client, ExecOutcome, Server, ServerConfig};
 use minidb::Database;
 use sqlir::Value;
 
@@ -73,33 +77,10 @@ const PHASE_OPS_SMOKE: usize = 400;
 /// Per-operation client I/O timeout.
 const IO: Duration = Duration::from_secs(30);
 
-fn mode_label(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::EventDriven => "event",
-        ServerMode::Blocking => "blocking",
-    }
-}
-
-fn config_for(mode: ServerMode, workers: usize) -> ServerConfig {
-    match mode {
-        ServerMode::EventDriven => ServerConfig::default(),
-        ServerMode::Blocking => ServerConfig {
-            mode: ServerMode::Blocking,
-            // Persistent connections occupy a worker each; never starve
-            // the sweep by design.
-            workers: workers.max(4),
-            queue_capacity: workers.max(4),
-            ..Default::default()
-        },
-    }
-}
-
-/// Forwards each handler statement over the wire client, optionally
-/// logging every outcome (the gate compares those logs entry by entry).
+/// Forwards each handler statement over the wire client.
 struct ClientPort<'a> {
     client: &'a mut Client,
     session: u64,
-    log: Option<Vec<String>>,
 }
 
 impl QueryPort for ClientPort<'_> {
@@ -108,9 +89,6 @@ impl QueryPort for ClientPort<'_> {
             .client
             .execute(self.session, sql, bindings)
             .map_err(|e| DslError::Port(e.to_string()))?;
-        if let Some(log) = &mut self.log {
-            log.push(format!("{out:?}"));
-        }
         Ok(match out {
             ExecOutcome::Rows(r) => PortOutcome::Rows(r),
             ExecOutcome::Affected(n) => PortOutcome::Affected(n as usize),
@@ -154,15 +132,6 @@ fn proxy_of(prep: &PreparedApp) -> Arc<SqlProxy> {
 
 // ------------------------------------------------------- differential gate
 
-/// One sequential traffic replay, in comparable form.
-struct GateRun {
-    log: Vec<String>,
-    allowed: u64,
-    blocked: u64,
-    /// Journal provenance: (template hash, verdict, cache tier).
-    journal: Vec<(u64, &'static str, &'static str)>,
-}
-
 fn gate_cfg() -> TrafficConfig {
     TrafficConfig {
         target_sessions: 8,
@@ -171,11 +140,10 @@ fn gate_cfg() -> TrafficConfig {
     }
 }
 
-fn gate_run(prep: &PreparedApp, mode: ServerMode, seed: u64) -> GateRun {
-    let proxy = proxy_of(prep);
-    let server = Server::start(Arc::clone(&proxy), config_for(mode, 1), "127.0.0.1:0")
-        .expect("start server");
-    let mut client = Client::connect(server.addr(), IO).expect("connect");
+/// Drives `GATE_OPS` ops of the seeded traffic stream against `target`,
+/// logging session churn, every statement's normalised outcome, and each
+/// handler's final outcome.
+fn drive_traffic(prep: &PreparedApp, seed: u64, target: &mut GateTarget<'_>) -> Vec<String> {
     let mut engine = TrafficEngine::new(&prep.app, gate_cfg(), seed);
     let mut sessions: Vec<Option<u64>> = vec![None; gate_cfg().target_sessions];
     let mut log = Vec::with_capacity(GATE_OPS * 2);
@@ -186,29 +154,24 @@ fn gate_run(prep: &PreparedApp, mode: ServerMode, seed: u64) -> GateRun {
                 uid,
                 user_index,
             } => {
-                let id = client
-                    .begin(vec![("MyUId".into(), Value::Int(uid))])
-                    .expect("begin");
-                sessions[slot] = Some(id);
+                sessions[slot] = Some(target.begin(vec![("MyUId".into(), Value::Int(uid))]));
                 log.push(format!("begin u{user_index}"));
             }
             TrafficOp::End { slot } => {
-                let id = sessions[slot].take().expect("live session");
-                client.end(id).expect("end");
+                target.end(sessions[slot].take().expect("live session"));
                 log.push("end".to_string());
             }
             TrafficOp::RawProbe { slot, sql } | TrafficOp::RawWriteProbe { slot, sql } => {
                 let id = sessions[slot].expect("live session");
-                let out = client.execute(id, &sql, &[]).expect("raw probe executes");
-                log.push(format!("raw {out:?}"));
+                log.push(format!("raw {:?}", target.execute(id, &sql, &[])));
             }
             TrafficOp::Request { slot, request, .. } => {
                 let id = sessions[slot].expect("live session");
                 let handler = prep.parsed.handler(&request.handler).expect("handler");
-                let mut port = ClientPort {
-                    client: &mut client,
+                let mut port = GatePort {
+                    target: &mut *target,
                     session: id,
-                    log: Some(Vec::new()),
+                    log: &mut log,
                 };
                 let result = run_handler(
                     &mut port,
@@ -218,73 +181,29 @@ fn gate_run(prep: &PreparedApp, mode: ServerMode, seed: u64) -> GateRun {
                     Limits::default(),
                 )
                 .unwrap_or_else(|e| panic!("{}::{}: {e}", prep.app.name, request.handler));
-                log.append(port.log.as_mut().expect("gate port logs"));
                 log.push(format!("{}:{:?}", request.handler, result.outcome));
             }
         }
     }
     for id in sessions.iter().flatten() {
-        client.end(*id).expect("end");
+        target.end(*id);
     }
-    drop(client);
-    server.shutdown();
-    let stats = proxy.stats();
-    let journal = proxy
-        .journal()
-        .events_since(0, usize::MAX)
-        .into_iter()
-        .map(|ev| (ev.template_hash, ev.verdict.label(), ev.tier.label()))
-        .collect();
-    GateRun {
-        log,
-        allowed: stats.allowed,
-        blocked: stats.blocked,
-        journal,
-    }
+    log
 }
 
-fn compare_runs(name: &str, label: &str, a: &GateRun, b: &GateRun) -> usize {
-    let mut mismatches = 0;
-    if a.log.len() != b.log.len() {
-        mismatches += 1;
-        eprintln!(
-            "{name} [{label}]: log lengths differ: {} vs {}",
-            a.log.len(),
-            b.log.len()
-        );
-    }
-    for (i, (x, y)) in a.log.iter().zip(&b.log).enumerate() {
-        if x != y {
-            mismatches += 1;
-            eprintln!("{name} [{label}] entry {i}: {x} vs {y}");
-        }
-    }
-    if (a.allowed, a.blocked) != (b.allowed, b.blocked) {
-        mismatches += 1;
-        eprintln!(
-            "{name} [{label}]: counters diverged: {}/{} vs {}/{}",
-            a.allowed, a.blocked, b.allowed, b.blocked
-        );
-    }
-    if a.journal != b.journal {
-        mismatches += 1;
-        eprintln!("{name} [{label}]: journal provenance diverged");
-    }
-    mismatches
-}
-
-/// Drives the same seeded traffic against both front-ends and an
-/// event-driven rerun; returns (log entries, mismatches). Mismatches
-/// must be zero.
+/// Drives the same seeded traffic over the wire, in-process, and over the
+/// wire again; returns (log entries, mismatches). Mismatches must be zero.
 fn differential_gate(prep: &PreparedApp) -> (usize, usize) {
-    let event = gate_run(prep, ServerMode::EventDriven, 99);
-    let blocking = gate_run(prep, ServerMode::Blocking, 99);
-    let rerun = gate_run(prep, ServerMode::EventDriven, 99);
-    let mut mismatches = compare_runs(&prep.app.name, "event vs blocking", &event, &blocking);
-    mismatches += compare_runs(&prep.app.name, "event vs rerun", &event, &rerun);
+    let run = |side| gate_run(proxy_of(prep), side, |t| drive_traffic(prep, 99, t));
+    let event = run(GateSide::Wire);
+    let local = run(GateSide::InProcess);
+    let rerun = run(GateSide::Wire);
+    let name = &prep.app.name;
+    let mut mismatches = compare_runs(name, "event vs in-process", &event, &local);
+    mismatches += compare_runs(name, "event vs rerun", &event, &rerun);
     println!(
         "gate[{}]: {} log entries, {} journal events, {}/{} allowed/blocked, {} mismatches",
-        prep.app.name,
+        name,
         event.log.len(),
         event.journal.len(),
         event.allowed,
@@ -308,7 +227,6 @@ struct PhaseStat {
 
 struct CellResult {
     app: String,
-    mode: &'static str,
     workers: usize,
     ops: usize,
     wall_s: f64,
@@ -346,15 +264,9 @@ struct WorkerReport {
 /// One soak cell: `m` workers, each with its own connection, traffic
 /// engine (derived seed, disjoint fresh-id range), and session slots,
 /// against one server. The driver thread samples RSS at phase barriers.
-fn soak(
-    prep: &PreparedApp,
-    mode: ServerMode,
-    m: usize,
-    phases: usize,
-    phase_ops: usize,
-) -> CellResult {
+fn soak(prep: &PreparedApp, m: usize, phases: usize, phase_ops: usize) -> CellResult {
     let proxy = proxy_of(prep);
-    let server = Server::start(Arc::clone(&proxy), config_for(mode, m), "127.0.0.1:0")
+    let server = Server::start(Arc::clone(&proxy), ServerConfig::default(), "127.0.0.1:0")
         .expect("start server");
     let addr = server.addr();
     let baseline = read_process_memory().resident_bytes;
@@ -415,7 +327,6 @@ fn soak(
                                     let mut port = ClientPort {
                                         client: &mut client,
                                         session: id,
-                                        log: None,
                                     };
                                     match run_handler(
                                         &mut port,
@@ -495,7 +406,6 @@ fn soak(
     let wall_s = rss_samples.last().expect("phases ran").0;
     CellResult {
         app: prep.app.name.clone(),
-        mode: mode_label(mode),
         workers: m,
         ops,
         wall_s,
@@ -550,11 +460,10 @@ fn json_of(
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"ops\": {}, \
+            "    {{\"app\": \"{}\", \"workers\": {}, \"ops\": {}, \
              \"wall_s\": {:.2}, \"throughput_ops_s\": {:.1}, \"decision_errors\": {}, \
              \"sessions\": {}, \"allowed\": {}, \"blocked\": {},\n",
             r.app,
-            r.mode,
             r.workers,
             r.ops,
             r.wall_s,
@@ -630,7 +539,7 @@ fn main() {
     assert_eq!(
         mismatches, 0,
         "differential gate: generated-app decisions must be identical \
-         across front-ends and same-seed reruns"
+         over the wire, in-process, and across same-seed reruns"
     );
 
     // Phase 2: populate at scale and soak.
@@ -640,8 +549,8 @@ fn main() {
     } else {
         (PHASES_FULL, PHASE_OPS_FULL)
     };
-    // The big host-gated cell runs one app in one mode at one worker
-    // count — the point is the population size, not the cell matrix.
+    // The big host-gated cell runs one app at one worker count — the
+    // point is the population size, not the cell matrix.
     let single_app = smoke || users_override.is_some();
     let apps = if single_app {
         fleet(FLEET_SEED, users)
@@ -658,11 +567,6 @@ fn main() {
     } else {
         &SWEEP
     };
-    let modes: &[ServerMode] = if users_override.is_some() {
-        &[ServerMode::EventDriven]
-    } else {
-        &[ServerMode::Blocking, ServerMode::EventDriven]
-    };
 
     let preps: Vec<PreparedApp> = apps
         .into_iter()
@@ -676,38 +580,34 @@ fn main() {
         })
         .collect();
 
-    let widths = [8usize, 9, 3, 7, 9, 10, 10, 6, 8, 8, 5];
+    let widths = [8usize, 3, 7, 9, 10, 10, 6, 8, 8, 5];
     header(
         &[
-            "app", "mode", "m", "ops", "ops/s", "p50-us", "p99-us", "rss/s-kb", "ok", "denied",
-            "err",
+            "app", "m", "ops", "ops/s", "p50-us", "p99-us", "rss/s-kb", "ok", "denied", "err",
         ],
         &widths,
     );
     let mut results: Vec<CellResult> = Vec::new();
     for prep in &preps {
         for &m in sweep {
-            for &mode in modes {
-                let r = soak(prep, mode, m, phases, phase_ops);
-                let last = r.phases.last().expect("phases");
-                row(
-                    &[
-                        r.app.clone(),
-                        r.mode.to_string(),
-                        r.workers.to_string(),
-                        r.ops.to_string(),
-                        f2(r.throughput),
-                        f2(last.p50_us),
-                        f2(last.p99_us),
-                        (last.rss_per_session_bytes / 1024).to_string(),
-                        r.allowed.to_string(),
-                        r.blocked.to_string(),
-                        r.decision_errors.to_string(),
-                    ],
-                    &widths,
-                );
-                results.push(r);
-            }
+            let r = soak(prep, m, phases, phase_ops);
+            let last = r.phases.last().expect("phases");
+            row(
+                &[
+                    r.app.clone(),
+                    r.workers.to_string(),
+                    r.ops.to_string(),
+                    f2(r.throughput),
+                    f2(last.p50_us),
+                    f2(last.p99_us),
+                    (last.rss_per_session_bytes / 1024).to_string(),
+                    r.allowed.to_string(),
+                    r.blocked.to_string(),
+                    r.decision_errors.to_string(),
+                ],
+                &widths,
+            );
+            results.push(r);
         }
         println!();
     }
@@ -717,8 +617,8 @@ fn main() {
     for r in &results {
         assert_eq!(
             r.decision_errors, 0,
-            "{} {} m={}: decision errors in a scale soak",
-            r.app, r.mode, r.workers
+            "{} m={}: decision errors in a scale soak",
+            r.app, r.workers
         );
     }
 
@@ -736,18 +636,16 @@ fn main() {
         if users_override.is_none() {
             assert!(
                 last.rss_per_session_bytes < 8 * 1024 * 1024,
-                "{} {} m={}: {} bytes resident per live session",
+                "{} m={}: {} bytes resident per live session",
                 r.app,
-                r.mode,
                 r.workers,
                 last.rss_per_session_bytes
             );
         } else {
             assert!(
                 last.rss_per_session_bytes <= 2 * first.rss_per_session_bytes,
-                "{} {} m={}: per-session residency grew across phases: {} -> {}",
+                "{} m={}: per-session residency grew across phases: {} -> {}",
                 r.app,
-                r.mode,
                 r.workers,
                 first.rss_per_session_bytes,
                 last.rss_per_session_bytes
@@ -759,31 +657,27 @@ fn main() {
     // actually run workers in parallel; a 1-core host just records it.
     if !smoke && users_override.is_none() && cores >= 2 {
         for prep in &preps {
-            for mode in ["event", "blocking"] {
-                let of = |m: usize| {
-                    results
-                        .iter()
-                        .find(|r| r.app == prep.app.name && r.mode == mode && r.workers == m)
-                        .map(|r| r.throughput)
-                        .unwrap_or(0.0)
-                };
-                let single = of(SWEEP[0]);
-                let best = SWEEP[1..].iter().map(|&m| of(m)).fold(0.0, f64::max);
-                println!(
-                    "{} [{}]: 1 worker {:.1} ops/s, best multi-worker {:.1} ops/s ({:+.1}%)",
-                    prep.app.name,
-                    mode,
-                    single,
-                    best,
-                    (best / single - 1.0) * 100.0
-                );
-                assert!(
-                    best >= 0.8 * single,
-                    "{} [{}]: multi-worker throughput collapsed",
-                    prep.app.name,
-                    mode
-                );
-            }
+            let of = |m: usize| {
+                results
+                    .iter()
+                    .find(|r| r.app == prep.app.name && r.workers == m)
+                    .map(|r| r.throughput)
+                    .unwrap_or(0.0)
+            };
+            let single = of(SWEEP[0]);
+            let best = SWEEP[1..].iter().map(|&m| of(m)).fold(0.0, f64::max);
+            println!(
+                "{}: 1 worker {:.1} ops/s, best multi-worker {:.1} ops/s ({:+.1}%)",
+                prep.app.name,
+                single,
+                best,
+                (best / single - 1.0) * 100.0
+            );
+            assert!(
+                best >= 0.8 * single,
+                "{}: multi-worker throughput collapsed",
+                prep.app.name
+            );
         }
     }
 

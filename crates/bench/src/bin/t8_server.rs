@@ -14,9 +14,9 @@
 //! Decision fidelity is asserted, not assumed: each (app, clients) point
 //! must reproduce the in-process proxy's exact allowed/blocked totals on
 //! the same workload seed under the same session-reuse schedule, and a
-//! deterministic overload probe against a blocking-mode server must
-//! receive a typed `busy` (never a hang) carrying the pool's queue depth
-//! and worker count.
+//! deterministic overload probe against a server capped at one
+//! connection must receive a typed `busy` (never a hang) carrying the
+//! event loop's load snapshot.
 //!
 //! Results go to `BENCH_t8.json`, recording host parallelism — on a
 //! 1-core host the sweep measures protocol and scheduling overhead, not
@@ -31,7 +31,7 @@ use appdsl::{DslError, PortOutcome, QueryPort};
 use appsim::{ProxyPort, Scale, SimApp, CALENDAR, FORUM};
 use bep_bench::{app_env, f2, header, proxy_for, row, AppEnv};
 use bep_core::{ProxyConfig, SqlProxy};
-use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig, ServerMode};
+use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig};
 use sqlir::Value;
 
 /// Rounds each client replays its share of the workload.
@@ -40,8 +40,6 @@ const ROUNDS: usize = 2;
 const N_REQUESTS: usize = 120;
 /// Client counts swept.
 const CLIENTS: [usize; 4] = [1, 2, 4, 8];
-/// Worker pool of the blocking-mode overload probe.
-const PROBE_WORKERS: usize = 1;
 /// Per-operation client I/O timeout.
 const IO: Duration = Duration::from_secs(30);
 
@@ -246,17 +244,16 @@ fn drive(sim: &'static SimApp, env: &AppEnv, m: usize) -> Measurement {
     }
 }
 
-/// Deterministic overload probe: a blocking-mode server with one worker
-/// and no backlog, its only worker held mid-session — the next connection
+/// Deterministic overload probe: a server whose event loop admits one
+/// connection, that connection held mid-session — the next connection
 /// must receive a typed `busy` promptly (never a hang) and the payload
-/// must carry the pool's load snapshot.
+/// must carry the load snapshot (one live connection, one reactor
+/// thread).
 fn probe_busy_response() -> bool {
     let env = app_env(&CALENDAR, 17, Scale::small(), 1);
     let proxy = Arc::new(proxy_for(&env, ProxyConfig::default()));
     let config = ServerConfig {
-        mode: ServerMode::Blocking,
-        workers: PROBE_WORKERS,
-        queue_capacity: 0,
+        max_connections: 1,
         ..Default::default()
     };
     let server = Server::start(proxy, config, "127.0.0.1:0").expect("start probe server");
@@ -273,8 +270,8 @@ fn probe_busy_response() -> bool {
         }) => {
             assert_eq!(
                 (queue_depth, workers),
-                (0, PROBE_WORKERS as u64),
-                "busy payload carries the pool's load snapshot"
+                (1, 1),
+                "busy payload carries the event loop's load snapshot"
             );
             true
         }
@@ -339,7 +336,7 @@ fn main() {
         );
     }
 
-    println!("overload probe: blocking mode, 1 worker, no backlog, held mid-session...");
+    println!("overload probe: 1-connection cap, the admitted one held mid-session...");
     let busy_probe_ok = probe_busy_response();
     assert!(
         busy_probe_ok,

@@ -29,6 +29,8 @@
 
 #![warn(missing_docs)]
 
+pub mod gate;
+
 use appdsl::Request;
 use appsim::{seed_app, workload_for, Scale, SimApp};
 use bep_core::{ComplianceChecker, Policy, ProxyConfig, SqlProxy};

@@ -37,9 +37,9 @@
 //!   keyed by the allocation-free `ConcreteKey` fingerprint — sound to
 //!   reuse because compliance is monotone in the trace facts, and a
 //!   session's facts only grow. Concrete *denials* are cached too, stamped
-//!   with the fact count they were proved at: new facts can flip a denial
-//!   (never the reverse), so a cached denial is served only while the
-//!   session's fact count is unchanged.
+//!   with the trace version they were proved at: new facts can flip a
+//!   denial (never the reverse), so a cached denial is served only while
+//!   the session's trace version is unchanged.
 //!
 //! [`ProxyConfig::plan_cache`] = false disables plan compilation entirely
 //! and routes every request through the naive path (parse, translate, and
@@ -90,13 +90,16 @@
 //! likewise cost-only: recompiling a template reproduces the identical
 //! plan, and session caches keyed by its hash stay valid.
 //!
-//! *Deny cache*: a denial is recorded together with the fact count observed
-//! when it was proved, and is replayed only while the session's fact count
-//! still equals that value. Facts are append-only, so an equal count means
-//! the identical fact set, i.e. the identical proof obligation. If a
-//! concurrent request on the same session records new facts between a
-//! denial's proof and its write-back, the stored count is already stale and
-//! the entry is simply never served — a wasted slot, never a wrong answer.
+//! *Deny cache*: a denial is recorded together with the trace version
+//! observed when it was proved, and is replayed only while the session's
+//! trace version still equals that value. Every change to the fact set —
+//! a recording or a compaction — bumps the version, so an equal version
+//! means the identical fact set, i.e. the identical proof obligation (a
+//! fact count could not say this once compaction can shrink the set). If
+//! a concurrent request on the same session records new facts between a
+//! denial's proof and its write-back, the stored version is already stale
+//! and the entry is simply never served — a wasted slot, never a wrong
+//! answer.
 //!
 //! *Allow cache*: compliance is monotone in the trace facts and facts only
 //! grow, so an allow proved under any earlier fact set stays valid forever;
@@ -157,7 +160,8 @@ pub struct ProxyConfig {
     /// translates, and proves from scratch (the naive baseline; template
     /// verdicts are then *never* memoized).
     pub plan_cache: bool,
-    /// Compiled templates retained before FIFO eviction.
+    /// Compiled templates retained before SIEVE eviction (rounded up to a
+    /// multiple of the plan cache's shard count).
     pub plan_capacity: usize,
     /// Capture decision provenance: per-phase timings, per-phase latency
     /// histograms, and one [`DecisionEvent`] per `execute` into the

@@ -93,6 +93,10 @@ fn chunk_ptr(c: usize) -> *mut AtomicPtr<String> {
         Ok(_) => fresh,
         Err(winner) => {
             // Lost the race; free ours and use the published chunk.
+            // SAFETY: `fresh` came from `Box::into_raw` of a boxed slice of
+            // exactly `cap` slots, and the failed CAS means no other thread
+            // ever saw it, so rebuilding and dropping that box is the only
+            // use.
             unsafe { drop(Box::from_raw(ptr::slice_from_raw_parts_mut(fresh, cap))) };
             winner
         }
@@ -117,6 +121,9 @@ pub fn intern(s: &str) -> Sym {
     assert!(id < u32::MAX, "symbol interner exhausted");
     let (c, off) = locate(id);
     let chunk = chunk_ptr(c);
+    // SAFETY: `chunk` is a published, never-freed array of `64 << c` slots
+    // and `locate` puts `off` inside it; the slot is atomic, so the shared
+    // reference is sound even while readers load it.
     unsafe {
         (*chunk.add(off)).store(owned as *const String as *mut String, Ordering::Release);
     }
@@ -129,8 +136,13 @@ fn resolve(id: u32) -> &'static str {
     let (c, off) = locate(id);
     let chunk = CHUNKS[c].load(Ordering::Acquire);
     debug_assert!(!chunk.is_null(), "Sym resolved before its chunk published");
+    // SAFETY: an id exists only after `intern` published its chunk and
+    // slot, so `chunk` is a live, never-freed array of `64 << c` slots and
+    // `off` (from `locate`) is inside it; the slot is atomic.
     let p = unsafe { (*chunk.add(off)).load(Ordering::Acquire) };
     debug_assert!(!p.is_null(), "Sym resolved before its slot published");
+    // SAFETY: `p` is a leaked `String`, never mutated or freed after its
+    // release store, which the acquire load above synchronizes with.
     unsafe { (*p).as_str() }
 }
 

@@ -29,7 +29,7 @@ pub enum ClientError {
     Busy {
         /// Requests queued ahead of the rejected one.
         queue_depth: u64,
-        /// Worker threads serving the pool.
+        /// Serving threads; always 1 (the reactor).
         workers: u64,
     },
     /// The server closed the connection.
@@ -320,8 +320,6 @@ impl Client {
     /// [`EventBatch`]es; read them with [`Client::next_events`]. The
     /// connection is dedicated to the stream from here on — interleaving
     /// other requests would race their responses against pushed frames.
-    /// Only the event-driven front-end streams; the blocking front-end
-    /// answers with a typed `unsupported` error.
     pub fn subscribe(&mut self, after: u64) -> Result<(), ClientError> {
         match self.round_trip(&Request::Subscribe { after })? {
             Response::Subscribed => Ok(()),

@@ -15,7 +15,8 @@
 //! 4. **Execute** the batch through [`SqlProxy::execute_batch`]
 //!    (chunked at `batch_max`), which amortizes plan-cache probes and
 //!    journal writes across connections while deciding in submission
-//!    order — so answers are bit-identical to the blocking front-end;
+//!    order — so answers are bit-identical to sequential
+//!    [`SqlProxy::execute`](bep_core::SqlProxy::execute) calls;
 //! 5. **Assemble** each connection's response segments *in request order*
 //!    (inline answers interleaved with batch results) into its write
 //!    buffer and **flush** as far as the socket allows, arming write
@@ -27,11 +28,16 @@
 //! but never starve the rest; the bound on any connection's wait is
 //! `(hot connections) × frames_per_conn_per_tick` decisions per lap.
 //!
-//! Admission control is a connection cap instead of a worker pool: past
-//! `max_connections` the acceptor answers `busy` (with the live connection
-//! count as the queue depth) exactly like the blocking server's saturated
-//! pool. Idle connections cost one epoll registration and a few hundred
-//! bytes — the 10k-idle target holds on this one thread.
+//! Admission control is a connection cap: past `max_connections` the
+//! acceptor answers `busy` (with the live connection count as the queue
+//! depth and the one reactor thread as the worker count). Idle
+//! connections cost one epoll registration and a few hundred bytes — the
+//! 10k-idle target holds on this one thread.
+//!
+//! Shutdown is checked once per tick, at its end: the owner's
+//! [`Server::shutdown`](crate::Server::shutdown) wakes the poller through
+//! the waker, and a client's `shutdown` request is seen at the end of the
+//! very tick that answered it.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -44,7 +50,7 @@ use std::time::{Duration, Instant};
 use bep_core::BatchItem;
 
 use crate::conn::{exec_response, ConnCore, ConnShared, Dispatched};
-use crate::framing::{frame_bytes, FrameDecoder, FrameError};
+use crate::framing::{frame_bytes, write_frame, FrameDecoder, FrameError};
 use crate::protocol::{ErrorKind, Response};
 use crate::reactor::{drain_waker, fd_of, raise_nofile_limit, Poller, Readiness};
 
@@ -205,10 +211,6 @@ pub(crate) fn run(
             return;
         }
         metrics.ticks.inc();
-        if shared.shutdown.load(Ordering::Acquire) {
-            farewell(&mut conns, &metrics);
-            return;
-        }
 
         // This iteration's cross-connection batch and the order to answer.
         let mut batch: Vec<BatchItem> = Vec::new();
@@ -313,8 +315,8 @@ pub(crate) fn run(
                 .collect();
             for token in stale {
                 if let Some(conn) = conns.get_mut(&token) {
-                    // Mirror the blocking loop: a goodbye unless framing
-                    // is mid-frame (not re-synchronizable).
+                    // A goodbye unless framing is mid-frame (not
+                    // re-synchronizable).
                     if !conn.decoder.mid_frame() {
                         let bye = frame_bytes(Response::Bye.to_wire().as_bytes());
                         let _ = conn.stream.write_all(&bye);
@@ -322,6 +324,11 @@ pub(crate) fn run(
                 }
                 drop_conn(&mut conns, token, &poller, &metrics);
             }
+        }
+
+        if shared.shutdown.load(Ordering::Acquire) {
+            farewell(&mut conns, &metrics);
+            return;
         }
     }
 }
@@ -370,8 +377,7 @@ fn drain_frames(
             Ok(Some(p)) => p,
             Ok(None) => return,
             Err(FrameError::Oversized { announced, limit }) => {
-                // Framing is lost; typed error then close (mirrors the
-                // blocking loop).
+                // Framing is lost; typed error then close.
                 conn.push_response(&Response::Error {
                     kind: ErrorKind::Malformed,
                     msg: format!("frame of {announced} bytes exceeds limit {limit}"),
@@ -514,7 +520,7 @@ fn accept_burst(
             // The event loop's saturation point: the connection table is
             // the "queue", the reactor the single worker.
             busy_rejections.fetch_add(1, Ordering::Relaxed);
-            crate::server::reject(
+            reject(
                 stream,
                 &Response::Busy {
                     queue_depth: conns.len() as u64,
@@ -539,7 +545,7 @@ fn accept_burst(
                 stream,
                 token,
                 decoder: FrameDecoder::new(shared.config.max_frame),
-                core: ConnCore::new(Arc::clone(shared), true),
+                core: ConnCore::new(Arc::clone(shared)),
                 segs: Vec::new(),
                 out: Vec::new(),
                 out_pos: 0,
@@ -580,4 +586,43 @@ fn farewell(conns: &mut HashMap<u64, Conn>, metrics: &ReactorMetrics) {
     }
     conns.clear();
     metrics.connections.set(0);
+}
+
+/// Writes one terminal response on a connection the server will not
+/// serve, then closes it politely. "Politely" matters: the client has
+/// usually pipelined its `hello` already, and closing a socket with
+/// unread data sends an RST that destroys the very `busy` frame we just
+/// wrote. So the rejection drains the client's bytes until FIN (briefly),
+/// and runs on its own short-lived thread to keep the event loop free.
+fn reject(mut stream: TcpStream, response: &Response, write_timeout: Duration) {
+    let wire = response.to_wire();
+    let _ = std::thread::Builder::new()
+        .name("bep-server-reject".into())
+        .spawn(move || {
+            let _ = stream.set_nonblocking(false);
+            let _ = stream.set_write_timeout(Some(write_timeout));
+            let _ = stream.set_nodelay(true);
+            let _ = write_frame(&mut stream, wire.as_bytes());
+            let _ = stream.shutdown(Shutdown::Write);
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+            let deadline = Instant::now() + Duration::from_millis(500);
+            let mut sink = [0u8; 256];
+            loop {
+                match stream.read(&mut sink) {
+                    Ok(0) => break, // client saw our frame and closed: FIN
+                    Ok(_) => continue,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ) =>
+                    {
+                        if Instant::now() >= deadline {
+                            break;
+                        }
+                    }
+                    Err(_) => break,
+                }
+            }
+        });
 }

@@ -3,9 +3,9 @@
 //! A frame is a 4-byte big-endian payload length followed by that many
 //! bytes of UTF-8 JSON. [`FrameReader`] is an incremental decoder: it
 //! tolerates arbitrarily split reads (one byte at a time is fine) and
-//! surfaces read timeouts as a distinct [`FrameEvent::TimedOut`] so the
-//! connection loop can run its idle clock without losing a half-received
-//! frame. Oversized length prefixes are rejected *before* any payload is
+//! surfaces read timeouts as a distinct [`FrameEvent::TimedOut`] so a
+//! blocking reader can wait out a slow peer without losing a
+//! half-received frame. Oversized length prefixes are rejected *before* any payload is
 //! buffered, so a hostile `0xFFFFFFFF` header costs four bytes, not 4 GiB.
 
 use std::io::{self, Read, Write};

@@ -88,13 +88,11 @@ pub struct Poller {
     buf: Vec<EpollEvent>,
 }
 
-// The epoll fd is just an fd; the buffer is owned. Safe to move across
-// threads (the event loop owns its poller for its whole life).
-unsafe impl Send for Poller {}
-
 impl Poller {
     /// Creates an epoll instance sized for `capacity` events per wait.
     pub fn new(capacity: usize) -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes a flag word and no pointers; a
+        // negative return is an error, handled below.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -124,6 +122,9 @@ impl Poller {
             events: interest,
             data: token,
         };
+        // SAFETY: `ev` is a live, glibc-layout `epoll_event` for the whole
+        // call and the kernel only reads it; `self.epfd` is owned by this
+        // poller, and a bad `fd` is reported as an error, not UB.
         let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -151,6 +152,8 @@ impl Poller {
     /// explicit removal keeps the kernel set tidy when fds are reused.
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`; DEL ignores the event, which is passed
+        // non-null for kernels before 2.6.9.
         let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -163,6 +166,9 @@ impl Poller {
     /// many were delivered (0 = tick). EINTR counts as a tick.
     pub fn wait(&mut self, timeout: Duration, out: &mut Vec<Readiness>) -> io::Result<usize> {
         let ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
+        // SAFETY: `buf` is valid for writes of `buf.len()` events (at most
+        // 4096, so the length fits a `c_int`), and the kernel writes at
+        // most that many; only the first `n` are read below.
         let n = unsafe {
             epoll_wait(
                 self.epfd,
@@ -193,6 +199,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` was opened by `Poller::new`, is owned by this
+        // poller alone, and is closed exactly once, here.
         unsafe {
             close(self.epfd);
         }
@@ -243,6 +251,8 @@ pub fn drain_waker(rx: &UnixStream) {
 /// long before the reactor does.
 pub fn raise_nofile_limit(target: u64) -> u64 {
     let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a live `struct rlimit` (two 64-bit words on Linux)
+    // the kernel writes for the duration of the call.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return 1024;
     }
@@ -251,6 +261,7 @@ pub fn raise_nofile_limit(target: u64) -> u64 {
             cur: target.min(lim.max),
             max: lim.max,
         };
+        // SAFETY: `raised` is a live `struct rlimit` the kernel only reads.
         if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
             return raised.cur;
         }

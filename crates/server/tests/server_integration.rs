@@ -7,10 +7,10 @@ use std::time::Duration;
 
 use bep_core::{
     schema_of_database, template_hash, CacheTier, ComplianceChecker, Phase, Policy, ProxyConfig,
-    SqlProxy, Verdict,
+    ProxyResponse, SqlProxy, Verdict,
 };
 use bep_server::framing::{frame_bytes, write_frame};
-use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig, ServerMode};
+use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig};
 use minidb::Database;
 use sqlir::Value;
 
@@ -257,67 +257,6 @@ fn sessions_are_connection_scoped_capabilities() {
 }
 
 #[test]
-fn saturated_server_answers_busy_not_silence() {
-    // Pool-saturation semantics are the blocking front-end's; the event
-    // loop has its own admission cap (tested separately).
-    let config = ServerConfig {
-        mode: ServerMode::Blocking,
-        workers: 1,
-        queue_capacity: 0,
-        ..Default::default()
-    };
-    let (server, _proxy) = start(config);
-
-    // Occupy the single worker with a live connection...
-    let mut holder = Client::connect(server.addr(), IO).unwrap();
-    let s = holder.begin(uid_bindings(1)).unwrap();
-    holder
-        .execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-        .unwrap();
-
-    // ...then the next connection must be rejected with `busy`, quickly —
-    // and the typed payload must carry the pool's load snapshot: one
-    // worker, nothing waiting (the backlog has zero capacity).
-    let t0 = std::time::Instant::now();
-    match Client::connect(server.addr(), IO) {
-        Err(ClientError::Busy {
-            queue_depth,
-            workers,
-        }) => {
-            assert_eq!(queue_depth, 0, "zero-capacity backlog was empty");
-            assert_eq!(workers, 1, "the pool advertises its worker count");
-        }
-        other => panic!("expected busy, got {other:?}"),
-    }
-    assert!(
-        t0.elapsed() < Duration::from_secs(2),
-        "busy rejection must be fast, took {:?}",
-        t0.elapsed()
-    );
-    assert_eq!(server.busy_rejections(), 1);
-
-    // The admitted connection still works fine through the overload.
-    let r = holder
-        .execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-        .unwrap();
-    assert!(r.is_allowed());
-
-    // Freeing the worker re-opens admission.
-    holder.abandon();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        match Client::connect(server.addr(), IO) {
-            Ok(_) => break,
-            Err(ClientError::Busy { .. }) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("expected eventual admission, got {other:?}"),
-        }
-    }
-    server.shutdown();
-}
-
-#[test]
 fn event_loop_connection_cap_answers_busy_with_load_snapshot() {
     let config = ServerConfig {
         max_connections: 1,
@@ -405,10 +344,35 @@ fn pipelined_frames_get_ordered_responses() {
     server.shutdown();
 }
 
+/// A statement outcome reduced to what both the wire and the in-process
+/// proxy report: rows, an affected count, or a blocked reason label.
+#[derive(Debug, PartialEq)]
+enum Normalised {
+    Rows(minidb::Rows),
+    Affected(u64),
+    Blocked(String),
+}
+
+/// Allowed/blocked counters plus journal provenance (template hash,
+/// verdict, cache tier).
+type Provenance = (u64, u64, Vec<(u64, &'static str, &'static str)>);
+
+fn provenance(proxy: &SqlProxy) -> Provenance {
+    let stats = proxy.stats();
+    let journal = proxy
+        .journal()
+        .events_since(0, usize::MAX)
+        .into_iter()
+        .map(|ev| (ev.template_hash, ev.verdict.label(), ev.tier.label()))
+        .collect();
+    (stats.allowed, stats.blocked, journal)
+}
+
 #[test]
 fn front_ends_answer_identically_on_the_same_workload() {
-    // Differential gate in miniature: the same scripted conversation
-    // against both front-ends must produce byte-identical outcomes.
+    // Differential gate in miniature: the same scripted conversation over
+    // the wire and straight through an in-process proxy must produce the
+    // same outcomes, counters, and decision provenance.
     let script: Vec<(String, Vec<(String, Value)>)> = vec![
         (
             "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?event".into(),
@@ -424,31 +388,42 @@ fn front_ends_answer_identically_on_the_same_workload() {
             vec![],
         ),
     ];
-    let run = |mode: ServerMode| {
-        let (server, _proxy) = start(ServerConfig {
-            mode,
-            ..Default::default()
-        });
-        let mut c = Client::connect(server.addr(), IO).unwrap();
-        let s = c.begin(uid_bindings(1)).unwrap();
-        let mut outcomes = Vec::new();
-        for (sql, bindings) in &script {
-            outcomes.push(c.execute(s, sql, bindings).unwrap());
-        }
-        server.shutdown();
-        outcomes
-    };
-    assert_eq!(run(ServerMode::EventDriven), run(ServerMode::Blocking));
+
+    let (server, wire_proxy) = start(ServerConfig::default());
+    let mut c = Client::connect(server.addr(), IO).unwrap();
+    let s = c.begin(uid_bindings(1)).unwrap();
+    let wire: Vec<Normalised> = script
+        .iter()
+        .map(
+            |(sql, bindings)| match c.execute(s, sql, bindings).unwrap() {
+                ExecOutcome::Rows(rows) => Normalised::Rows(rows),
+                ExecOutcome::Affected(n) => Normalised::Affected(n),
+                ExecOutcome::Blocked { reason, .. } => Normalised::Blocked(reason),
+            },
+        )
+        .collect();
+    server.shutdown();
+
+    let local_proxy = calendar_proxy();
+    let s = local_proxy.begin_session(uid_bindings(1));
+    let local: Vec<Normalised> = script
+        .iter()
+        .map(
+            |(sql, bindings)| match local_proxy.execute(s, sql, bindings).unwrap() {
+                ProxyResponse::Rows(rows) => Normalised::Rows(rows),
+                ProxyResponse::Affected(n) => Normalised::Affected(n as u64),
+                ProxyResponse::Blocked(reason) => Normalised::Blocked(reason.label().to_string()),
+            },
+        )
+        .collect();
+
+    assert_eq!(wire, local);
+    assert_eq!(provenance(&wire_proxy), provenance(&local_proxy));
 }
 
 #[test]
 fn multi_client_stress_keeps_traces_isolated() {
-    let config = ServerConfig {
-        workers: 8,
-        queue_capacity: 8,
-        ..Default::default()
-    };
-    let (server, _proxy) = start(config);
+    let (server, _proxy) = start(ServerConfig::default());
     let addr = server.addr();
 
     // Even-indexed clients run as user 1 (attends event 2, may unlock it);
@@ -561,12 +536,7 @@ fn client_initiated_shutdown_drains_cleanly() {
 
 #[test]
 fn shutdown_while_clients_are_mid_conversation() {
-    let config = ServerConfig {
-        workers: 4,
-        queue_capacity: 4,
-        ..Default::default()
-    };
-    let (server, proxy) = start(config);
+    let (server, proxy) = start(ServerConfig::default());
     let addr = server.addr();
 
     let workers: Vec<_> = (0..3)
