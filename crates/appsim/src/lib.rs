@@ -16,7 +16,8 @@
 //!   the scenario where active constraint discovery earns its keep.
 //!
 //! [`ProxyPort`] adapts the enforcing proxy to the DSL interpreter, so any
-//! of these applications can run under enforcement unchanged.
+//! of these applications can run under enforcement unchanged;
+//! [`ReferencePort`] does the same for the cache-free reference evaluator.
 
 #![warn(missing_docs)]
 
@@ -34,7 +35,7 @@ pub use datagen::{populate_app, seed_app, stream_app, BatchSink, Scale, BATCH_RO
 pub use employees::EMPLOYEES;
 pub use forum::FORUM;
 pub use hospital::HOSPITAL;
-pub use simapp::{AppSpec, ProxyPort, SimApp};
+pub use simapp::{port_outcome, AppSpec, ProxyPort, ReferencePort, SimApp};
 pub use wiki::WIKI;
 pub use workload::{
     calendar_workload, employees_workload, forum_workload, hospital_workload, wiki_workload,

@@ -1,7 +1,7 @@
 //! The [`SimApp`] bundle: everything one simulated application ships with.
 
 use appdsl::{parse_app, App, DslError, PortOutcome, QueryPort};
-use bep_core::{CoreError, Policy, ProxyResponse, SqlProxy};
+use bep_core::{CoreError, Policy, ProxyResponse, Reference, SqlProxy};
 use minidb::Database;
 use qlogic::RelSchema;
 use sqlir::Value;
@@ -161,11 +161,33 @@ pub struct ProxyPort<'a> {
 
 impl QueryPort for ProxyPort<'_> {
     fn run(&mut self, sql: &str, bindings: &[(String, Value)]) -> Result<PortOutcome, DslError> {
-        match self.proxy.execute(self.session, sql, bindings) {
-            Ok(ProxyResponse::Rows(r)) => Ok(PortOutcome::Rows(r)),
-            Ok(ProxyResponse::Affected(n)) => Ok(PortOutcome::Affected(n)),
-            Ok(ProxyResponse::Blocked(reason)) => Ok(PortOutcome::Blocked(format!("{reason:?}"))),
-            Err(e) => Err(DslError::Port(e.to_string())),
-        }
+        port_outcome(self.proxy.execute(self.session, sql, bindings))
+    }
+}
+
+/// A [`QueryPort`] adapter running handlers through the cache-free
+/// [`Reference`] evaluator. It renders outcomes exactly as [`ProxyPort`]
+/// does, so run records from the two compare byte for byte.
+pub struct ReferencePort<'a> {
+    /// The reference evaluator.
+    pub reference: &'a mut Reference,
+    /// The session id to execute under.
+    pub session: u64,
+}
+
+impl QueryPort for ReferencePort<'_> {
+    fn run(&mut self, sql: &str, bindings: &[(String, Value)]) -> Result<PortOutcome, DslError> {
+        port_outcome(self.reference.execute(self.session, sql, bindings))
+    }
+}
+
+/// The one rendering of an enforcement answer as a handler sees it; a
+/// block carries the deny reason's `Debug` text.
+pub fn port_outcome(result: Result<ProxyResponse, CoreError>) -> Result<PortOutcome, DslError> {
+    match result {
+        Ok(ProxyResponse::Rows(r)) => Ok(PortOutcome::Rows(r)),
+        Ok(ProxyResponse::Affected(n)) => Ok(PortOutcome::Affected(n)),
+        Ok(ProxyResponse::Blocked(reason)) => Ok(PortOutcome::Blocked(format!("{reason:?}"))),
+        Err(e) => Err(DslError::Port(e.to_string())),
     }
 }

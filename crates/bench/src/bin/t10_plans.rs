@@ -1,23 +1,20 @@
 //! T10 — Compiled template plans: what parse/translate/rewrite
 //! amortization buys on the decision hot path.
 //!
-//! Sweeps the calendar and forum workloads through three configurations
+//! Sweeps the calendar and forum workloads through two configurations
 //! at 1/2/4/8 worker threads:
 //!
 //! * `full` — every tier on (plans + template + session verdict caches);
-//! * `no-caches` — verdict caches off, plan cache on: every request runs
-//!   a fresh concrete proof, but parse, translation, and candidate-view
-//!   pruning come from the compiled plan;
-//! * `no-plans` — everything from scratch per request, the pre-plan
-//!   baseline. `no-caches` vs `no-plans` isolates the plan contribution
-//!   on the path where the proof itself cannot be skipped.
+//! * `no-caches` — verdict caches off: every request runs a fresh
+//!   concrete proof, but parse, translation, and candidate-view pruning
+//!   come from the compiled plan.
 //!
 //! Before the sweep, a differential pass replays the whole workload
-//! request by request through a planned and an unplanned proxy and
-//! asserts the complete run records (outcomes, emitted rows, issued
-//! queries) are identical — plans are amortization, never a behaviour
-//! change. `--smoke` runs only this pass on a reduced workload, as a CI
-//! gate.
+//! request by request through both configurations and the cache-free
+//! reference evaluator, and asserts the complete run records (outcomes,
+//! emitted rows, issued queries) are identical — plans and caches are
+//! amortization, never a behaviour change. `--smoke` runs only this pass
+//! on a reduced workload, as a CI gate.
 //!
 //! Results are written to `BENCH_t10.json`.
 //!
@@ -25,8 +22,10 @@
 
 use std::time::Instant;
 
-use appsim::{ProxyPort, Scale, SimApp, CALENDAR, FORUM};
-use bep_bench::{app_env, f2, header, proxy_for, row, salted_params, AppEnv};
+use appsim::{ProxyPort, ReferencePort, Scale, SimApp, CALENDAR, FORUM};
+use bep_bench::{
+    app_env, f2, header, percentile, proxy_for, reference_for, row, salted_params, AppEnv,
+};
 use bep_core::ProxyConfig;
 
 /// Rounds each worker replays its share of the workload.
@@ -43,7 +42,7 @@ const SMOKE_REQUESTS: usize = 24;
 /// Worker-thread counts swept.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn configs() -> [(&'static str, ProxyConfig); 3] {
+fn configs() -> [(&'static str, ProxyConfig); 2] {
     [
         ("full", ProxyConfig::default()),
         (
@@ -51,15 +50,6 @@ fn configs() -> [(&'static str, ProxyConfig); 3] {
             ProxyConfig {
                 template_cache: false,
                 session_cache: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "no-plans",
-            ProxyConfig {
-                template_cache: false,
-                session_cache: false,
-                plan_cache: false,
                 ..Default::default()
             },
         ),
@@ -80,48 +70,42 @@ struct Measurement {
     errors: usize,
 }
 
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
-}
-
 /// Replays every request of `env` (two rounds: plan-cold, then plan-warm)
-/// through each planned configuration and the unplanned baseline,
-/// asserting the complete run records match request by request. Returns
-/// the number of comparisons made.
+/// through each configuration and the reference evaluator, asserting the
+/// complete run records match request by request. Returns the number of
+/// comparisons made.
 fn differential(env: &AppEnv) -> usize {
-    let [(_, full), (_, no_caches), (_, no_plans)] = configs();
-    let planned_full = proxy_for(env, full);
-    let planned_lean = proxy_for(env, no_caches);
-    let naive = proxy_for(env, no_plans);
+    let proxies = configs().map(|(label, config)| (label, proxy_for(env, config)));
+    let mut reference = reference_for(env, &ProxyConfig::default());
     let app = env.sim.app();
     let mut compared = 0usize;
     for round in 0..2 {
         for req in &env.requests {
             let handler = app.handler(&req.handler).expect("handler");
             let params = salted_params(&req.params, round);
-            let run = |proxy: &bep_core::SqlProxy| {
-                let session = proxy.begin_session(req.session.clone());
-                let mut port = ProxyPort { proxy, session };
+            let run = |port: &mut dyn appdsl::QueryPort| {
                 let r = appdsl::run_handler(
-                    &mut port,
+                    port,
                     handler,
                     &req.session,
                     &params,
                     appdsl::Limits::default(),
                 );
-                proxy.end_session(session);
                 format!("{r:?}")
             };
-            let want = run(&naive);
-            for (label, proxy) in [("full", &planned_full), ("no-caches", &planned_lean)] {
-                let got = run(proxy);
+            let session = reference.begin_session(req.session.clone());
+            let want = run(&mut ReferencePort {
+                reference: &mut reference,
+                session,
+            });
+            reference.end_session(session);
+            for (label, proxy) in &proxies {
+                let session = proxy.begin_session(req.session.clone());
+                let got = run(&mut ProxyPort { proxy, session });
+                proxy.end_session(session);
                 assert_eq!(
                     got, want,
-                    "planned ({label}) diverged from unplanned on {} round {round}",
+                    "{label} diverged from the reference on {} round {round}",
                     req.handler
                 );
                 compared += 1;
@@ -132,7 +116,7 @@ fn differential(env: &AppEnv) -> usize {
 }
 
 /// Drives `env`'s workload through a fresh proxy with `m` closed-loop
-/// workers and returns the measurement (same harness shape as T7).
+/// workers and returns the measurement.
 fn drive(
     sim: &'static SimApp,
     env: &AppEnv,
@@ -244,13 +228,14 @@ fn main() {
     println!("host parallelism: {cores} core(s)");
     println!();
 
-    // Differential gate first: plans must be decision- and row-identical
-    // to the unplanned path on the exact workload about to be measured.
+    // Differential gate first: both configurations must be decision- and
+    // row-identical to the reference on the exact workload about to be
+    // measured.
     for sim in [&CALENDAR, &FORUM] {
         let env = app_env(sim, 17, Scale::small(), n_requests);
         let compared = differential(&env);
         println!(
-            "differential [{}]: {} planned runs identical to unplanned",
+            "differential [{}]: {} proxy runs identical to the reference evaluator",
             sim.name, compared
         );
     }
@@ -312,29 +297,8 @@ fn main() {
     println!("wrote BENCH_t10.json ({} measurements)", results.len());
 
     println!();
-    println!("Plan speedup on the no-verdict-cache path (1 thread):");
-    for sim in [&CALENDAR, &FORUM] {
-        let tput = |config: &str| {
-            results
-                .iter()
-                .find(|r| r.app == sim.name && r.config == config && r.threads == 1)
-                .map(|r| r.throughput)
-                .unwrap_or(0.0)
-        };
-        let (with, without) = (tput("no-caches"), tput("no-plans"));
-        println!(
-            "  {}: {} ops/s with plans vs {} without -> {:.2}x",
-            sim.name,
-            f2(with),
-            f2(without),
-            with / without.max(1e-9),
-        );
-    }
-    println!();
     println!("Shape claims:");
-    println!("  - the differential gate passed: planned and unplanned runs are");
-    println!("    bit-identical on every request, cold and warm;");
-    println!("  - 'no-caches' beats 'no-plans' at every thread count: amortizing");
-    println!("    parse/translate/prune pays even when every proof still runs;");
+    println!("  - the differential gate passed: both configurations and the");
+    println!("    reference evaluator are bit-identical on every request, cold and warm;");
     println!("  - 'full' sits on top: verdict caches stack on plan reuse.");
 }

@@ -20,13 +20,16 @@
 //! * `prune` — hom search into a target spread across many relations,
 //!   isolating the per-relation atom index against the legacy full scan;
 //! * `decision` — the end-to-end calendar + forum decision path through
-//!   the enforcement proxy (interned kernel only; absolute throughput).
+//!   the cache-free reference evaluator, where every request is a fresh
+//!   proof (interned kernel only; absolute throughput).
 //!
 //! Before any timing, a workload-replay differential gate drives the
-//! complete calendar and forum workloads through planned and unplanned
-//! proxies and asserts the run records are bit-identical, and the kernel
-//! oracle suite replays every benchmark problem through both kernels.
-//! `--smoke` runs only these gates, as a CI step.
+//! complete calendar and forum workloads through the proxy and the
+//! reference evaluator and asserts the run records are bit-identical, and
+//! the kernel oracle suite replays every benchmark problem through both
+//! kernels. `--smoke` runs only these gates, as a CI step. The reference
+//! runs on the interned kernel too, so the legacy kernel stays the only
+//! independent oracle for the kernel itself.
 //!
 //! Results are written to `BENCH_t11.json`.
 //!
@@ -34,8 +37,8 @@
 
 use std::time::Instant;
 
-use appsim::{ProxyPort, Scale, SimApp, CALENDAR, FORUM};
-use bep_bench::{app_env, proxy_for, salted_params, AppEnv};
+use appsim::{ProxyPort, ReferencePort, Scale, SimApp, CALENDAR, FORUM};
+use bep_bench::{app_env, proxy_for, reference_for, salted_params, AppEnv};
 use bep_core::ProxyConfig;
 use qlogic::homomorphism::{find_homomorphisms, HomProblem};
 use qlogic::CmpContext;
@@ -551,16 +554,10 @@ struct DecisionResult {
     errors: usize,
 }
 
-/// Drives the full workload through an unplanned proxy (every request a
-/// fresh proof: the kernel-bound path) single-threaded.
+/// Drives the full workload through the reference evaluator (every
+/// request a fresh proof: the kernel-bound path).
 fn drive_decisions(sim: &'static SimApp, env: &AppEnv) -> DecisionResult {
-    let config = ProxyConfig {
-        template_cache: false,
-        session_cache: false,
-        plan_cache: false,
-        ..Default::default()
-    };
-    let proxy = proxy_for(env, config);
+    let mut reference = reference_for(env, &ProxyConfig::default());
     let app = env.sim.app();
     let mut errors = 0usize;
     let mut ops = 0usize;
@@ -569,9 +566,9 @@ fn drive_decisions(sim: &'static SimApp, env: &AppEnv) -> DecisionResult {
         for req in &env.requests {
             let handler = app.handler(&req.handler).expect("handler");
             let params = salted_params(&req.params, round);
-            let session = proxy.begin_session(req.session.clone());
-            let mut port = ProxyPort {
-                proxy: &proxy,
+            let session = reference.begin_session(req.session.clone());
+            let mut port = ReferencePort {
+                reference: &mut reference,
                 session,
             };
             if appdsl::run_handler(
@@ -585,7 +582,7 @@ fn drive_decisions(sim: &'static SimApp, env: &AppEnv) -> DecisionResult {
             {
                 errors += 1;
             }
-            proxy.end_session(session);
+            reference.end_session(session);
             ops += 1;
         }
     }
@@ -599,45 +596,44 @@ fn drive_decisions(sim: &'static SimApp, env: &AppEnv) -> DecisionResult {
     }
 }
 
-/// Replays the whole workload through planned and unplanned proxies and
-/// asserts the complete run records are bit-identical (same gate as T10:
-/// the interned kernel is a representation change, never a decision
-/// change). Returns the number of comparisons.
+/// Replays the whole workload through the proxy and the reference
+/// evaluator and asserts the complete run records are bit-identical (same
+/// gate as T10: the interned kernel is a representation change, never a
+/// decision change). Returns the number of comparisons.
 fn differential(env: &AppEnv) -> usize {
-    let planned = proxy_for(env, ProxyConfig::default());
-    let unplanned = proxy_for(
-        env,
-        ProxyConfig {
-            template_cache: false,
-            session_cache: false,
-            plan_cache: false,
-            ..Default::default()
-        },
-    );
+    let proxy = proxy_for(env, ProxyConfig::default());
+    let mut reference = reference_for(env, &ProxyConfig::default());
     let app = env.sim.app();
     let mut compared = 0usize;
     for round in 0..2 {
         for req in &env.requests {
             let handler = app.handler(&req.handler).expect("handler");
             let params = salted_params(&req.params, round);
-            let run = |proxy: &bep_core::SqlProxy| {
-                let session = proxy.begin_session(req.session.clone());
-                let mut port = ProxyPort { proxy, session };
+            let run = |port: &mut dyn appdsl::QueryPort| {
                 let r = appdsl::run_handler(
-                    &mut port,
+                    port,
                     handler,
                     &req.session,
                     &params,
                     appdsl::Limits::default(),
                 );
-                proxy.end_session(session);
                 format!("{r:?}")
             };
-            let want = run(&unplanned);
-            let got = run(&planned);
+            let session = reference.begin_session(req.session.clone());
+            let want = run(&mut ReferencePort {
+                reference: &mut reference,
+                session,
+            });
+            reference.end_session(session);
+            let session = proxy.begin_session(req.session.clone());
+            let got = run(&mut ProxyPort {
+                proxy: &proxy,
+                session,
+            });
+            proxy.end_session(session);
             assert_eq!(
                 got, want,
-                "planned diverged from unplanned on {} round {round}",
+                "proxy diverged from the reference on {} round {round}",
                 req.handler
             );
             compared += 1;
@@ -690,14 +686,17 @@ fn main() {
     let n_problems = if smoke { SMOKE_PROBLEMS } else { PROBLEMS };
     let n_requests = if smoke { SMOKE_REQUESTS } else { N_REQUESTS };
 
-    // Workload-replay differential gate first: the interned kernel must
-    // make byte-identical decisions across planned and unplanned proxies
-    // on the full calendar and forum workloads.
+    // Workload-replay differential gate first: the proxy must make
+    // byte-identical decisions to the reference evaluator on the full
+    // calendar and forum workloads.
     let mut compared = 0usize;
     for sim in [&CALENDAR, &FORUM] {
         let env = app_env(sim, 17, Scale::small(), n_requests);
         let n = differential(&env);
-        println!("differential [{}]: {n} replayed runs identical", sim.name);
+        println!(
+            "differential [{}]: {n} replayed runs identical to the reference evaluator",
+            sim.name
+        );
         compared += n;
     }
     println!();

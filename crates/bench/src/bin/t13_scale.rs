@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use appdsl::{run_handler, App, DslError, Limits, Outcome, PortOutcome, QueryPort};
 use appsim::AppSpec;
 use bep_bench::gate::{compare_runs, gate_run, GatePort, GateSide, GateTarget};
-use bep_bench::{f2, header, row};
+use bep_bench::{f2, header, percentile, row};
 use bep_core::{read_process_memory, ComplianceChecker, ProxyConfig, SqlProxy};
 use bep_scenario::{
     derive, fleet, GeneratedApp, TrafficConfig, TrafficEngine, TrafficOp, FRESH_ID_BASE,
@@ -242,14 +242,6 @@ struct CellResult {
     template_proofs: u64,
     concrete_proofs: u64,
     phases: Vec<PhaseStat>,
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
 }
 
 /// What each worker brings home from a soak cell.

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use appdsl::{run_handler, Limits, Outcome, PortOutcome, QueryPort};
 use appsim::{AppSpec, ProxyPort, Scale, SimApp, CALENDAR, FORUM};
-use bep_bench::{app_env, f2, header, proxy_for, row, AppEnv};
+use bep_bench::{app_env, f2, header, median, percentile, proxy_for, row, AppEnv};
 use bep_core::{ComplianceChecker, LatencySnapshot, ProxyConfig, SqlProxy};
 use bep_scenario::{derive, fleet, TrafficConfig, TrafficEngine, TrafficOp};
 use sqlir::Value;
@@ -139,19 +139,6 @@ struct ModeResult {
     spanned_events: usize,
     journal_events: usize,
     exemplars: usize,
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
-}
-
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    values[values.len() / 2]
 }
 
 /// Replays the workload once (warmup + measured rounds) against a fresh

@@ -5,13 +5,12 @@
 //!
 //! 1. **Bounded differential gate** (always first): for every fleet app
 //!    at a small population, the same seeded traffic stream runs through
-//!    three in-process proxies that differ only in the memory knobs —
-//!    compaction off with unbounded caches (the pre-T15 behaviour),
-//!    compaction on with default budgets, and compaction on with budgets
-//!    tight enough to force eviction mid-stream. Every statement outcome
-//!    and the aggregate counters must match across all three, and the
-//!    starved proxy must actually evict (a gate that never evicts proves
-//!    nothing).
+//!    the cache-free reference evaluator (whose trace is never compacted)
+//!    and two in-process proxies that differ only in the memory knobs —
+//!    default budgets, and budgets tight enough to force eviction
+//!    mid-stream. Every statement outcome and the aggregate
+//!    allowed/blocked counts must match across all three, and the starved
+//!    proxy must actually evict (a gate that never evicts proves nothing).
 //! 2. **Budgeted soak**: one fleet app at scale behind a wire server
 //!    whose proxy runs tight plan and session budgets. Churning Zipf
 //!    traffic in phases; at each phase boundary the driver samples the
@@ -38,11 +37,11 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use appdsl::{run_handler, App, DslError, Limits, Outcome, PortOutcome, QueryPort};
-use appsim::simapp::AppSpec;
-use bep_bench::{f2, header, row};
+use appsim::{port_outcome, AppSpec};
+use bep_bench::{f2, header, median, percentile, row};
 use bep_core::{
-    schema_of_database, ComplianceChecker, Policy, ProxyConfig, ProxyResponse, SnapshotError,
-    SqlProxy,
+    schema_of_database, ComplianceChecker, CoreError, Policy, ProxyConfig, ProxyResponse,
+    Reference, SnapshotError, SqlProxy,
 };
 use bep_scenario::{derive, fleet, GeneratedApp, TrafficConfig, TrafficEngine, TrafficOp};
 use bep_server::{Client, ExecOutcome, Server, ServerConfig};
@@ -82,26 +81,62 @@ const IO: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------- direct proxy driving
 
-/// Forwards handler statements straight into an in-process proxy,
-/// logging every outcome for the gate's entry-by-entry comparison.
-struct ProxyPort<'a> {
-    proxy: &'a SqlProxy,
+/// What a gate run drives: a proxy under test, or the reference
+/// evaluator with an (allowed, blocked) tally of its answers, since it
+/// keeps no statistics.
+enum Engine {
+    Proxy(Arc<SqlProxy>),
+    Reference(Box<Reference>, [u64; 2]),
+}
+
+impl Engine {
+    fn begin(&mut self, bindings: Vec<(String, Value)>) -> u64 {
+        match self {
+            Engine::Proxy(proxy) => proxy.begin_session(bindings),
+            Engine::Reference(reference, _) => reference.begin_session(bindings),
+        }
+    }
+
+    fn end(&mut self, session: u64) {
+        match self {
+            Engine::Proxy(proxy) => proxy.end_session(session),
+            Engine::Reference(reference, _) => reference.end_session(session),
+        };
+    }
+
+    fn execute(&mut self, session: u64, sql: &str, bindings: &Bindings) -> Answer {
+        let (reference, tally) = match self {
+            Engine::Proxy(proxy) => return proxy.execute(session, sql, bindings),
+            Engine::Reference(reference, tally) => (reference, tally),
+        };
+        let out = reference.execute(session, sql, bindings);
+        match &out {
+            Ok(ProxyResponse::Rows(_)) => tally[0] += 1,
+            Ok(ProxyResponse::Blocked(_)) => tally[1] += 1,
+            _ => {}
+        }
+        out
+    }
+}
+
+type Bindings = [(String, Value)];
+type Answer = Result<ProxyResponse, CoreError>;
+
+/// Forwards handler statements straight into an [`Engine`], logging
+/// every outcome for the gate's entry-by-entry comparison.
+struct EnginePort<'a> {
+    engine: &'a mut Engine,
     session: u64,
     log: &'a mut Vec<String>,
 }
 
-impl QueryPort for ProxyPort<'_> {
-    fn run(&mut self, sql: &str, bindings: &[(String, Value)]) -> Result<PortOutcome, DslError> {
-        let out = self
-            .proxy
-            .execute(self.session, sql, bindings)
-            .map_err(|e| DslError::Port(e.to_string()))?;
-        self.log.push(format!("{out:?}"));
-        Ok(match out {
-            ProxyResponse::Rows(r) => PortOutcome::Rows(r),
-            ProxyResponse::Affected(n) => PortOutcome::Affected(n),
-            ProxyResponse::Blocked(reason) => PortOutcome::Blocked(format!("{reason:?}")),
-        })
+impl QueryPort for EnginePort<'_> {
+    fn run(&mut self, sql: &str, bindings: &Bindings) -> Result<PortOutcome, DslError> {
+        let out = self.engine.execute(self.session, sql, bindings);
+        if let Ok(response) = &out {
+            self.log.push(format!("{response:?}"));
+        }
+        port_outcome(out)
     }
 }
 
@@ -132,10 +167,9 @@ struct GateRun {
     evictions: u64,
 }
 
-/// Replays `GATE_OPS` seeded traffic ops directly against a proxy built
-/// with `config`, logging every outcome.
-fn gate_run(prep: &PreparedApp, config: ProxyConfig, seed: u64) -> GateRun {
-    let proxy = proxy_with(prep, config);
+/// Replays `GATE_OPS` seeded traffic ops directly against `target`,
+/// logging every outcome.
+fn gate_run(prep: &PreparedApp, mut target: Engine, seed: u64) -> GateRun {
     let cfg = TrafficConfig {
         target_sessions: 8,
         mean_session_len: 10.0,
@@ -152,26 +186,26 @@ fn gate_run(prep: &PreparedApp, config: ProxyConfig, seed: u64) -> GateRun {
                 uid,
                 user_index,
             } => {
-                let id = proxy.begin_session(vec![("MyUId".into(), Value::Int(uid))]);
+                let id = target.begin(vec![("MyUId".into(), Value::Int(uid))]);
                 sessions[slot] = Some(id);
                 log.push(format!("begin u{user_index}"));
             }
             TrafficOp::End { slot } => {
                 let id = sessions[slot].take().expect("live session");
-                proxy.end_session(id);
+                target.end(id);
                 log.push("end".to_string());
             }
             TrafficOp::RawProbe { slot, sql } | TrafficOp::RawWriteProbe { slot, sql } => {
                 let id = sessions[slot].expect("live session");
-                let out = proxy.execute(id, &sql, &[]).expect("raw probe executes");
+                let out = target.execute(id, &sql, &[]).expect("raw probe executes");
                 log.push(format!("raw {out:?}"));
             }
             TrafficOp::Request { slot, request, .. } => {
                 let id = sessions[slot].expect("live session");
                 let handler = prep.parsed.handler(&request.handler).expect("handler");
                 let mut stmt_log = Vec::new();
-                let mut port = ProxyPort {
-                    proxy: &proxy,
+                let mut port = EnginePort {
+                    engine: &mut target,
                     session: id,
                     log: &mut stmt_log,
                 };
@@ -189,14 +223,21 @@ fn gate_run(prep: &PreparedApp, config: ProxyConfig, seed: u64) -> GateRun {
         }
     }
     for id in sessions.iter().flatten() {
-        proxy.end_session(*id);
+        target.end(*id);
     }
-    let stats = proxy.stats();
+    let (allowed, blocked, evictions) = match &target {
+        Engine::Proxy(proxy) => {
+            let stats = proxy.stats();
+            let evictions = proxy.cache_eviction_counts().iter().map(|(_, n)| n).sum();
+            (stats.allowed, stats.blocked, evictions)
+        }
+        Engine::Reference(_, [allowed, blocked]) => (*allowed, *blocked, 0),
+    };
     GateRun {
         log,
-        allowed: stats.allowed,
-        blocked: stats.blocked,
-        evictions: proxy.cache_eviction_counts().iter().map(|(_, n)| n).sum(),
+        allowed,
+        blocked,
+        evictions,
     }
 }
 
@@ -228,43 +269,34 @@ fn compare_runs(name: &str, label: &str, a: &GateRun, b: &GateRun) -> usize {
 
 /// (log entries, mismatches, starved-proxy evictions) per app.
 fn bounded_gate(prep: &PreparedApp) -> (usize, usize, u64) {
-    let unbounded = gate_run(
-        prep,
-        ProxyConfig {
-            compaction: false,
-            plan_budget_bytes: 0,
-            session_cache_budget_bytes: 0,
-            ..Default::default()
-        },
-        99,
-    );
-    let defaults = gate_run(prep, ProxyConfig::default(), 99);
-    let starved = gate_run(
-        prep,
-        ProxyConfig {
-            plan_budget_bytes: GATE_PLAN_BUDGET,
-            session_cache_budget_bytes: GATE_SESSION_BUDGET,
-            ..Default::default()
-        },
-        99,
-    );
+    let config = ProxyConfig::default();
+    let checker = ComplianceChecker::new(prep.app.schema(), prep.app.policy().expect("policy"));
+    let reference = Reference::new(prep.db.clone(), checker, &config);
+    let reference = gate_run(prep, Engine::Reference(Box::new(reference), [0; 2]), 99);
+    let defaults = gate_run(prep, Engine::Proxy(proxy_with(prep, config)), 99);
+    let starved_config = ProxyConfig {
+        plan_budget_bytes: GATE_PLAN_BUDGET,
+        session_cache_budget_bytes: GATE_SESSION_BUDGET,
+        ..config
+    };
+    let starved = gate_run(prep, Engine::Proxy(proxy_with(prep, starved_config)), 99);
     let mut mismatches = compare_runs(
         &prep.app.name,
-        "unbounded vs defaults",
-        &unbounded,
+        "reference vs defaults",
+        &reference,
         &defaults,
     );
-    mismatches += compare_runs(&prep.app.name, "unbounded vs starved", &unbounded, &starved);
+    mismatches += compare_runs(&prep.app.name, "reference vs starved", &reference, &starved);
     println!(
         "gate[{}]: {} log entries, {}/{} allowed/blocked, {} starved evictions, {} mismatches",
         prep.app.name,
-        unbounded.log.len(),
-        unbounded.allowed,
-        unbounded.blocked,
+        reference.log.len(),
+        reference.allowed,
+        reference.blocked,
         starved.evictions,
         mismatches
     );
-    (unbounded.log.len(), mismatches, starved.evictions)
+    (reference.log.len(), mismatches, starved.evictions)
 }
 
 // ----------------------------------------------------------- budgeted soak
@@ -291,14 +323,6 @@ struct SoakResult {
     blocked: u64,
     evictions_by_tier: [(&'static str, u64); 3],
     phases: Vec<PhaseSample>,
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
 }
 
 struct WorkerReport {
@@ -624,11 +648,6 @@ struct RestartResult {
 /// Cold/warm time-to-steady-state is a millisecond-scale wall-clock
 /// measurement, so each side is the median of this many fresh replicas.
 const RESTART_REPLICAS: usize = 3;
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
 
 fn restart_experiment(n: usize) -> RestartResult {
     let templates = restart_templates(n);

@@ -7,9 +7,10 @@
 //!    population runs mixed read/write traffic with enforcement on.
 //!    Handler traffic — including its INSERTs — is never blocked; every
 //!    raw write probe is blocked; and each probe's proxy verdict is
-//!    checked against a *reference evaluator* that freshly compiles the
-//!    write template and re-runs the concrete coverage check against the
-//!    session's trace facts, with none of the proxy's caches. Two
+//!    checked against the reference evaluator's decision step
+//!    (`bep_core::reference::decide`), which freshly compiles the write
+//!    template and re-runs the concrete coverage check against a snapshot
+//!    of the session's trace, with none of the proxy's caches. Two
 //!    same-seed runs must produce identical decision logs.
 //! 2. **Write-latency micro**: the cost of a write *decision* on top of
 //!    execution, for both proof tiers. The template tier replays a
@@ -34,10 +35,9 @@ use std::time::Instant;
 
 use appdsl::{run_handler, Limits, Outcome};
 use appsim::{AppSpec, ProxyPort};
-use bep_bench::{f2, header, row};
+use bep_bench::{f2, header, percentile, row};
 use bep_core::{
-    check_write_concrete, compile_write_template, schema_of_database, ComplianceChecker, Policy,
-    ProxyConfig, ProxyResponse, SqlProxy,
+    reference, schema_of_database, ComplianceChecker, Policy, ProxyConfig, ProxyResponse, SqlProxy,
 };
 use bep_scenario::{fleet, GeneratedApp, TrafficConfig, TrafficEngine, TrafficOp, FRESH_ID_BASE};
 use minidb::Database;
@@ -77,14 +77,6 @@ fn traffic_cfg() -> TrafficConfig {
     }
 }
 
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
-}
-
 // ------------------------------------------------------- differential gate
 
 struct GateRun {
@@ -100,13 +92,8 @@ struct GateRun {
 fn gate_run(app: &GeneratedApp, seed: u64, ops: usize) -> GateRun {
     let mut db = app.empty_db();
     app.populate(&mut db).expect("populate");
-    let schema = app.schema();
-    let policy = app.policy().expect("policy");
-    let proxy = SqlProxy::new(
-        db,
-        ComplianceChecker::new(schema.clone(), policy.clone()),
-        enforced(),
-    );
+    let checker = ComplianceChecker::new(app.schema(), app.policy().expect("policy"));
+    let proxy = SqlProxy::new(db, checker.clone(), enforced());
     let parsed = app.app();
     let mut engine = TrafficEngine::new(app, traffic_cfg(), seed);
     let mut sessions: Vec<Option<(u64, i64)>> = vec![None; traffic_cfg().target_sessions];
@@ -143,19 +130,12 @@ fn gate_run(app: &GeneratedApp, seed: u64, ops: usize) -> GateRun {
             TrafficOp::RawWriteProbe { slot, sql } => {
                 let (id, uid) = sessions[slot].expect("live session");
                 let bindings = vec![("MyUId".to_string(), Value::Int(uid))];
-                // The reference: fresh template compile + fresh concrete
-                // coverage check against this session's trace facts — no
-                // plan cache, no template tier, no deny cache.
-                let facts = proxy.session_trace(id).expect("trace").facts().to_vec();
-                let reference_allows = match parse_statement(&sql) {
-                    Err(_) => false,
-                    Ok(stmt) => match compile_write_template(&stmt, policy.views(), &schema) {
-                        Err(_) => false,
-                        Ok(t) => {
-                            check_write_concrete(&t, policy.views(), &bindings, &facts).is_ok()
-                        }
-                    },
-                };
+                // The reference decision against a snapshot of this
+                // session's trace — no plan cache, no verdict caches.
+                let trace = proxy.session_trace(id).expect("trace");
+                let reference_allows = parse_statement(&sql).is_ok_and(|stmt| {
+                    reference::decide(&checker, &stmt, &bindings, &trace).is_allowed()
+                });
                 let resp = proxy.execute(id, &sql, &[]).expect("probe executes");
                 let allowed = !matches!(resp, ProxyResponse::Blocked(_));
                 if allowed != reference_allows {

@@ -1,6 +1,6 @@
 //! T8 — Networked enforcement throughput: a closed-loop multi-client
 //! driver over the calendar and forum workloads against a **live**
-//! `bep-server`, the network-path counterpart of T7's in-process sweep.
+//! `bep-server`, the network-path counterpart of T10's in-process sweep.
 //!
 //! Each sweep point starts a fresh server and `m` closed-loop clients. A
 //! client connects **once**, begins one session per request in its
@@ -20,7 +20,7 @@
 //!
 //! Results go to `BENCH_t8.json`, recording host parallelism — on a
 //! 1-core host the sweep measures protocol and scheduling overhead, not
-//! parallel speedup (same caveat as T7).
+//! parallel speedup.
 //!
 //! Run: `cargo run -p bep-bench --bin t8_server --release`
 
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use appdsl::{DslError, PortOutcome, QueryPort};
 use appsim::{ProxyPort, Scale, SimApp, CALENDAR, FORUM};
-use bep_bench::{app_env, f2, header, proxy_for, row, AppEnv};
+use bep_bench::{app_env, f2, header, percentile, proxy_for, row, AppEnv};
 use bep_core::{ProxyConfig, SqlProxy};
 use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig};
 use sqlir::Value;
@@ -96,14 +96,6 @@ struct Measurement {
     busy_rejections: u64,
     server_p50_us: f64,
     server_p99_us: f64,
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
 }
 
 /// The in-process ground truth: the same workload through `ProxyPort`

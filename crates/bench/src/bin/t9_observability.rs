@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use appsim::{ProxyPort, Scale, SimApp, CALENDAR, FORUM};
-use bep_bench::{app_env, f2, header, proxy_for, row, AppEnv};
+use bep_bench::{app_env, f2, header, median, percentile, proxy_for, row, AppEnv};
 use bep_core::{Phase, ProxyConfig};
 
 /// Requests drawn per app.
@@ -71,19 +71,6 @@ struct ModeResult {
 }
 
 /// Exact nearest-rank percentile over sorted samples.
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
-}
-
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    values[values.len() / 2]
-}
-
 /// Replays the workload once (warmup + measured rounds) against a fresh
 /// proxy in the given mode, timing each request.
 fn run_once(env: &AppEnv, observe: bool) -> Rep {

@@ -18,7 +18,6 @@
 //! | T5 | `t5_diagnosis` |
 //! | F4 | `f4_rewriting` |
 //! | T6 | `t6_ablation` |
-//! | T7 | `t7_concurrency` |
 //! | T8 | `t8_server` |
 //! | T9 | `t9_observability` |
 //! | T10 | `t10_plans` |
@@ -26,6 +25,11 @@
 //! | T12 | `t12_reactor` |
 //! | T13 | `t13_scale` |
 //! | T14 | `t14_introspect` |
+//! | T15 | `t15_bounded` |
+//! | T16 | `t16_writes` |
+//!
+//! T7 (`t7_concurrency`) is retired: T10 sweeps the same configurations
+//! at the same thread counts. `BENCH_t7.json` stays as its record.
 
 #![warn(missing_docs)]
 
@@ -33,7 +37,7 @@ pub mod gate;
 
 use appdsl::Request;
 use appsim::{seed_app, workload_for, Scale, SimApp};
-use bep_core::{ComplianceChecker, Policy, ProxyConfig, SqlProxy};
+use bep_core::{ComplianceChecker, ProxyConfig, Reference, SqlProxy};
 use minidb::Database;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -73,10 +77,13 @@ pub fn proxy_for(env: &AppEnv, config: ProxyConfig) -> SqlProxy {
     )
 }
 
-/// Builds an enforcing proxy with an explicit policy.
-pub fn proxy_with_policy(env: &AppEnv, policy: Policy, config: ProxyConfig) -> SqlProxy {
+/// Builds the cache-free reference evaluator over a clone of the
+/// environment's database (the oracle the workload-replay gates compare
+/// proxies against).
+pub fn reference_for(env: &AppEnv, config: &ProxyConfig) -> Reference {
     let schema = env.sim.schema();
-    SqlProxy::new(
+    let policy = env.sim.policy().expect("ground-truth policy compiles");
+    Reference::new(
         env.db.clone(),
         ComplianceChecker::new(schema, policy),
         config,
@@ -136,6 +143,23 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// The `p`-th percentile (0–100) of an ascending slice, by nearest rank;
+/// 0.0 for an empty slice.
+pub fn percentile(sorted_us: &[f64], p: f64) -> f64 {
+    if sorted_us.is_empty() {
+        return 0.0;
+    }
+    let rank = (p / 100.0 * (sorted_us.len() - 1) as f64).round() as usize;
+    sorted_us[rank.min(sorted_us.len() - 1)]
+}
+
+/// Sorts `values` and returns the middle element (the upper middle for
+/// an even length). `total_cmp` orders NaN instead of panicking on it.
+pub fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(|a, b| a.total_cmp(b));
+    values[values.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,5 +172,30 @@ mod tests {
         assert!(env.db.total_rows() > 0);
         let proxy = proxy_for(&env, ProxyConfig::default());
         assert_eq!(proxy.stats().allowed, 0);
+    }
+
+    #[test]
+    fn percentile_of_empty_input_is_zero() {
+        assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn percentile_endpoints_are_min_and_max() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 10.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 100.0), 10.0);
+        assert_eq!(percentile(&sorted, 50.0), 3.0);
+    }
+
+    #[test]
+    fn median_of_odd_and_even_lengths() {
+        assert_eq!(median(&mut [5.0, 1.0, 3.0]), 3.0);
+        // Even length: the upper of the two middle elements.
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
+    }
+
+    #[test]
+    fn median_orders_nan_without_panicking() {
+        assert_eq!(median(&mut [f64::NAN, 1.0, 2.0]), 2.0);
     }
 }

@@ -11,9 +11,8 @@
 //! the midpoint) — plenty for the throughput/latency tables.
 //!
 //! The histogram is the single source of latency truth: the proxy records
-//! into it on every `execute`, and both the in-process benches (T7/T8) and
-//! the server's `Stats` wire response read percentiles from the same
-//! snapshot.
+//! into it on every `execute`, and both the T8 bench and the server's
+//! `Stats` wire response read percentiles from the same snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

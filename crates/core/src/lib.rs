@@ -11,7 +11,9 @@
 //! * [`ComplianceChecker`] — decides whether a query's answer is determined
 //!   by the views plus the trace (equivalent-rewriting certificates);
 //! * [`SqlProxy`] — intercepts queries, allows or blocks them *unmodified*,
-//!   and amortizes decisions through template- and session-level caches.
+//!   and amortizes decisions through template- and session-level caches;
+//! * [`Reference`] — the same decisions with nothing amortized: the
+//!   cache-free oracle every differential gate holds the proxy to.
 //!
 //! The crate reproduces Example 2.1 of the paper exactly: `Q1` is allowed by
 //! `V1`; `Q2` alone is blocked; `Q2` after `Q1` returned a row is allowed.
@@ -32,6 +34,7 @@ pub mod obs;
 pub mod plan;
 pub mod policy;
 pub mod proxy;
+pub mod reference;
 pub mod snapshot;
 pub mod span;
 pub mod trace;
@@ -57,6 +60,7 @@ pub use plan::{
 };
 pub use policy::{schema_of_database, Policy, ViewDef};
 pub use proxy::{BatchItem, BatchStmt, ProxyConfig, ProxyResponse, ProxyStats, SqlProxy};
+pub use reference::Reference;
 pub use snapshot::{
     load_snapshot_file, policy_fingerprint, save_snapshot_file, SnapshotError, SnapshotLoadReport,
     SnapshotSaveReport,

@@ -158,7 +158,7 @@ impl Trace {
         self.version
     }
 
-    /// Subsumption-based compaction: drops every entry that is an exact
+    /// Subsumption-based compaction. Drops every entry that is an exact
     /// duplicate of an earlier one, and every fact homomorphically implied
     /// by the remaining facts (identity-pinned on shared labeled nulls, so
     /// the existential conjunction — and hence every compliance decision,

@@ -1,73 +1,31 @@
 //! Differential tests of the compiled-plan decision path.
 //!
 //! The plan machinery (parse-once, translate-once, pruned candidate views,
-//! compiled template verdicts, `u64` cache keys) is pure amortization: it
-//! must never change a decision. These properties drive generated
-//! workloads over the calendar schema of Example 2.1 and the forum schema
-//! of the simulated applications, and assert, query by query:
-//!
-//! * a proxy with plans and a naive proxy (`plan_cache: false` — parse,
-//!   translate, and prove from scratch per request) return bit-identical
-//!   responses: verdict, deny reason, and rows;
-//! * a planned proxy with the verdict caches off returns the same verdict
-//!   and deny reason as a fresh [`ComplianceChecker::check_concrete`] run
-//!   against the session's own trace — the paper's reference decision
-//!   procedure;
-//! * both hold cache-cold (first replay) and cache-warm (second replay of
-//!   the identical workload in the same sessions).
+//! compiled template verdicts, certificate replay, `u64` cache keys) and
+//! the verdict caches are pure amortization: they must never change a
+//! decision. These properties drive generated workloads over the calendar
+//! schema of Example 2.1 and the forum schema of the simulated
+//! applications, and assert, query by query, that the proxy with every
+//! tier on and the proxy with its verdict caches off both return
+//! bit-identical responses — verdict, deny reason, and rows — to the
+//! cache-free [`Reference`] evaluator, cache-cold (first replay) and
+//! cache-warm (second replay of the identical workload in the same
+//! sessions).
 
-use bep_core::{
-    schema_of_database, ComplianceChecker, Policy, ProxyConfig, ProxyResponse, SqlProxy,
-};
+mod common;
+
+use bep_core::{ComplianceChecker, Policy, ProxyConfig, Reference, SqlProxy};
+use common::{calendar_db, calendar_policy, forum_db, forum_policy};
 use minidb::Database;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sqlir::{parse_statement, Statement, Value};
+use sqlir::Value;
 
 /// One generated request: plain SQL (session parameters like `?MyUId`
 /// resolve from the session bindings; everything else is inlined).
 type Step = String;
 
 // ---------------------------------------------------------------- calendar
-
-fn calendar_db(attendance: &[(i64, i64)]) -> Database {
-    let mut db = Database::new();
-    db.execute_sql("CREATE TABLE Events (EId INT PRIMARY KEY, Title TEXT, Kind TEXT)")
-        .unwrap();
-    db.execute_sql(
-        "CREATE TABLE Attendance (UId INT, EId INT, Notes TEXT, PRIMARY KEY (UId, EId))",
-    )
-    .unwrap();
-    for e in 0..4 {
-        db.execute_sql(&format!(
-            "INSERT INTO Events (EId, Title, Kind) VALUES ({e}, 'title{e}', 'kind{e}')"
-        ))
-        .unwrap();
-    }
-    for (u, e) in attendance {
-        let _ = db.execute_sql(&format!(
-            "INSERT INTO Attendance (UId, EId, Notes) VALUES ({u}, {e}, NULL)"
-        ));
-    }
-    db
-}
-
-fn calendar_policy(db: &Database) -> (qlogic::RelSchema, Policy) {
-    let schema = schema_of_database(db);
-    let policy = Policy::from_sql(
-        &schema,
-        &[
-            ("V1", "SELECT EId FROM Attendance WHERE UId = ?MyUId"),
-            (
-                "V2",
-                "SELECT * FROM Events e JOIN Attendance a ON e.EId = a.EId \
-                 WHERE a.UId = ?MyUId",
-            ),
-        ],
-    )
-    .unwrap();
-    (schema, policy)
-}
 
 fn calendar_step() -> impl Strategy<Value = Step> {
     prop_oneof![
@@ -91,82 +49,6 @@ fn calendar_step() -> impl Strategy<Value = Step> {
 
 // ------------------------------------------------------------------- forum
 
-fn forum_db(membership: &[(i64, i64)]) -> Database {
-    let mut db = Database::new();
-    for ddl in [
-        "CREATE TABLE Users (UId INT PRIMARY KEY, Name TEXT NOT NULL)",
-        "CREATE TABLE Groups (GId INT PRIMARY KEY, Name TEXT NOT NULL, Public BOOL NOT NULL)",
-        "CREATE TABLE Membership (UId INT NOT NULL, GId INT NOT NULL, Role TEXT NOT NULL, \
-         PRIMARY KEY (UId, GId))",
-        "CREATE TABLE Posts (PId INT PRIMARY KEY, GId INT NOT NULL, AuthorId INT NOT NULL, \
-         Title TEXT NOT NULL, Body TEXT NOT NULL)",
-        "CREATE TABLE Comments (CId INT PRIMARY KEY, PId INT NOT NULL, AuthorId INT NOT NULL, \
-         Body TEXT NOT NULL)",
-    ] {
-        db.execute_sql(ddl).unwrap();
-    }
-    db.execute_sql("INSERT INTO Users (UId, Name) VALUES (0, 'u0'), (1, 'u1'), (2, 'u2')")
-        .unwrap();
-    db.execute_sql(
-        "INSERT INTO Groups (GId, Name, Public) VALUES \
-         (0, 'g0', TRUE), (1, 'g1', FALSE), (2, 'g2', FALSE)",
-    )
-    .unwrap();
-    for (u, g) in membership {
-        let _ = db.execute_sql(&format!(
-            "INSERT INTO Membership (UId, GId, Role) VALUES ({u}, {g}, 'member')"
-        ));
-    }
-    db.execute_sql(
-        "INSERT INTO Posts (PId, GId, AuthorId, Title, Body) VALUES \
-         (10, 0, 0, 't10', 'b10'), (11, 1, 1, 't11', 'b11'), (12, 2, 2, 't12', 'b12')",
-    )
-    .unwrap();
-    db.execute_sql(
-        "INSERT INTO Comments (CId, PId, AuthorId, Body) VALUES \
-         (100, 10, 0, 'c100'), (101, 11, 1, 'c101')",
-    )
-    .unwrap();
-    db
-}
-
-/// The forum ground-truth policy (mirrors `appsim::forum::FORUM`).
-fn forum_policy(db: &Database) -> (qlogic::RelSchema, Policy) {
-    let schema = schema_of_database(db);
-    let policy = Policy::from_sql(
-        &schema,
-        &[
-            ("PostGroups", "SELECT PId, GId FROM Posts"),
-            (
-                "MyMemberships",
-                "SELECT GId FROM Membership WHERE UId = ?MyUId",
-            ),
-            (
-                "MyGroups",
-                "SELECT g.GId, g.Name FROM Groups g \
-                 JOIN Membership m ON g.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-            (
-                "PublicGroups",
-                "SELECT GId, Name FROM Groups WHERE Public = TRUE",
-            ),
-            (
-                "GroupPosts",
-                "SELECT p.PId, p.GId, p.Title, p.Body, p.AuthorId FROM Posts p \
-                 JOIN Membership m ON p.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-            (
-                "GroupComments",
-                "SELECT c.CId, c.PId, c.AuthorId, c.Body FROM Comments c \
-                 JOIN Posts p ON c.PId = p.PId \
-                 JOIN Membership m ON p.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-        ],
-    )
-    .unwrap();
-    (schema, policy)
-}
-
 fn forum_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (10i64..13).prop_map(|p| format!("SELECT GId FROM Posts WHERE PId = {p}")),
@@ -182,7 +64,7 @@ fn forum_step() -> impl Strategy<Value = Step> {
              WHERE m.UId = ?MyUId"
                 .to_string()
         ),
-        // A write mixed in: passes through both proxies identically (and
+        // A write mixed in: passes through every side identically (and
         // identically violates the Comments primary key on warm replays).
         (10i64..13, 900i64..903).prop_map(|(p, c)| format!(
             "INSERT INTO Comments (CId, PId, AuthorId, Body) VALUES ({c}, {p}, 0, 'x')"
@@ -192,9 +74,8 @@ fn forum_step() -> impl Strategy<Value = Step> {
 
 // -------------------------------------------------------------- the driver
 
-/// Replays `steps` twice (cold, then warm) through a planned proxy, a
-/// naive proxy, and a caches-off planned proxy checked against a fresh
-/// `check_concrete` oracle per request.
+/// Replays `steps` twice (cold, then warm) through the full proxy, a
+/// caches-off proxy, and the reference, asserting identical responses.
 fn assert_differential(
     schema: qlogic::RelSchema,
     policy: Policy,
@@ -203,17 +84,8 @@ fn assert_differential(
     steps: &[Step],
 ) -> Result<(), TestCaseError> {
     let checker = ComplianceChecker::new(schema, policy);
-    let planned = SqlProxy::new(db.clone(), checker.clone(), ProxyConfig::default());
-    let naive = SqlProxy::new(
-        db.clone(),
-        checker.clone(),
-        ProxyConfig {
-            plan_cache: false,
-            ..Default::default()
-        },
-    );
-    // Verdict caches off: every SELECT runs a fresh planned concrete
-    // proof, comparable 1:1 with the oracle below.
+    let full = SqlProxy::new(db.clone(), checker.clone(), ProxyConfig::default());
+    // Verdict caches off: every SELECT runs a fresh planned concrete proof.
     let nocache = SqlProxy::new(
         db.clone(),
         checker.clone(),
@@ -223,46 +95,25 @@ fn assert_differential(
             ..Default::default()
         },
     );
+    let mut reference = Reference::new(db.clone(), checker, &ProxyConfig::default());
     let bindings = vec![("MyUId".to_string(), Value::Int(uid))];
-    let sp = planned.begin_session(bindings.clone());
-    let sn = naive.begin_session(bindings.clone());
+    let sf = full.begin_session(bindings.clone());
     let sc = nocache.begin_session(bindings.clone());
+    let sr = reference.begin_session(bindings);
 
     for replay in ["cold", "warm"] {
         for sql in steps {
-            // Oracle first: `check_concrete` from scratch against the
-            // caches-off session's current trace.
-            let oracle = match parse_statement(sql) {
-                Ok(Statement::Select(q)) => {
-                    let trace = nocache.session_trace(sc).unwrap();
-                    Some(checker.check_concrete(&q, &bindings, &trace))
-                }
-                _ => None,
-            };
-            let a = planned.execute(sp, sql, &[]);
-            let b = naive.execute(sn, sql, &[]);
-            prop_assert_eq!(&a, &b, "planned vs naive diverged ({}) on {}", replay, sql);
+            let want = reference.execute(sr, sql, &[]);
+            let a = full.execute(sf, sql, &[]);
+            prop_assert_eq!(&a, &want, "full proxy vs reference ({}) on {}", replay, sql);
             let c = nocache.execute(sc, sql, &[]);
-            if let (Some(oracle), Ok(response)) = (oracle, &c) {
-                prop_assert_eq!(
-                    oracle.is_allowed(),
-                    response.is_allowed(),
-                    "planned vs oracle verdict diverged ({}) on {}",
-                    replay,
-                    sql
-                );
-                if let (Some(reason), ProxyResponse::Blocked(got)) =
-                    (oracle.deny_reason(), response)
-                {
-                    prop_assert_eq!(
-                        reason,
-                        got,
-                        "planned vs oracle deny reason diverged ({}) on {}",
-                        replay,
-                        sql
-                    );
-                }
-            }
+            prop_assert_eq!(
+                &c,
+                &want,
+                "caches-off proxy vs reference ({}) on {}",
+                replay,
+                sql
+            );
         }
     }
     Ok(())

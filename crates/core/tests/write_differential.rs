@@ -2,18 +2,18 @@
 //!
 //! The proxy decides mutations through a tiered pipeline — plan cache,
 //! template verdicts, per-session concrete caches, the trace-stamped
-//! deny cache. A reference evaluator with none of that machinery
-//! (freshly compile the template, freshly run the concrete coverage
-//! check against the session's trace facts) must reach the *same*
+//! deny cache. The reference evaluator's decision step
+//! ([`bep_core::reference::decide`]: freshly compile the template, then
+//! freshly run the concrete coverage check against a snapshot of the
+//! session's trace) has none of that machinery and must reach the *same*
 //! verdict for every generated mutation, under every cache
 //! configuration. Any disagreement is a decision error, full stop.
 
 use bep_core::{
-    check_write_concrete, compile_write_template, schema_of_database, ComplianceChecker, Policy,
-    ProxyConfig, ProxyResponse, SqlProxy,
+    reference, schema_of_database, ComplianceChecker, Policy, ProxyConfig, ProxyResponse, SqlProxy,
 };
 use minidb::Database;
-use qlogic::{Atom, RelSchema};
+use qlogic::RelSchema;
 use sqlir::{parse_statement, Value};
 
 /// SplitMix64 — self-contained so the statement stream is reproducible
@@ -116,23 +116,6 @@ fn gen_read(rng: &mut Rng) -> String {
     }
 }
 
-/// The reference: no plan cache, no template tier, no deny cache — parse
-/// and compile the statement from scratch, then run the concrete
-/// coverage check directly against the given trace facts.
-fn reference_allows(
-    schema: &RelSchema,
-    policy: &Policy,
-    sql: &str,
-    bindings: &[(String, Value)],
-    facts: &[Atom],
-) -> bool {
-    let stmt = parse_statement(sql).expect("generated mutation parses");
-    match compile_write_template(&stmt, policy.views(), schema) {
-        Err(_) => false,
-        Ok(template) => check_write_concrete(&template, policy.views(), bindings, facts).is_ok(),
-    }
-}
-
 /// Drives `ops` seeded operations through a proxy under `config`,
 /// checking every mutation against the reference evaluator. Returns the
 /// verdict log (for cross-configuration comparison) and the tally of
@@ -141,11 +124,8 @@ fn differential_run(config: ProxyConfig, seed: u64, ops: usize) -> (Vec<String>,
     let db = calendar_db();
     let schema = schema_of_database(&db);
     let policy = calendar_policy(&schema);
-    let proxy = SqlProxy::new(
-        db,
-        ComplianceChecker::new(schema.clone(), policy.clone()),
-        config,
-    );
+    let checker = ComplianceChecker::new(schema, policy);
+    let proxy = SqlProxy::new(db, checker.clone(), config);
     let sessions = [
         proxy.begin_session(vec![("MyUId".into(), Value::Int(1))]),
         proxy.begin_session(vec![("MyUId".into(), Value::Int(2))]),
@@ -169,11 +149,12 @@ fn differential_run(config: ProxyConfig, seed: u64, ops: usize) -> (Vec<String>,
             continue;
         }
         let sql = gen_write(&mut rng, &mut fresh);
-        // Snapshot the facts the decision will be made against *before*
+        // Snapshot the trace the decision will be made against *before*
         // executing (writes never record trace facts, so order is moot,
         // but the snapshot keeps the reference honest by construction).
-        let facts = proxy.session_trace(sessions[who]).unwrap().facts().to_vec();
-        let expect = reference_allows(&schema, &policy, &sql, &bindings[who], &facts);
+        let trace = proxy.session_trace(sessions[who]).unwrap();
+        let stmt = parse_statement(&sql).expect("generated mutation parses");
+        let expect = reference::decide(&checker, &stmt, &bindings[who], &trace).is_allowed();
         let got = match proxy.execute(sessions[who], &sql, &[]) {
             Ok(ProxyResponse::Blocked(_)) => false,
             // Allowed — whether the store then applied it cleanly or hit
@@ -185,7 +166,7 @@ fn differential_run(config: ProxyConfig, seed: u64, ops: usize) -> (Vec<String>,
             expect,
             "op {i}: proxy and reference disagree on `{sql}` (session MyUId={}, {} facts)",
             who + 1,
-            facts.len()
+            trace.facts().len()
         );
         if got {
             allowed += 1;
@@ -211,15 +192,9 @@ fn every_cache_tier_agrees_with_the_reference_evaluator() {
         template_cache: false,
         ..ProxyConfig::default()
     };
-    let no_plan_cache = ProxyConfig {
-        enforce_writes: true,
-        plan_cache: false,
-        ..ProxyConfig::default()
-    };
 
     let (log_a, allowed, blocked) = differential_run(full, 0xD1FF, 500);
     let (log_b, ..) = differential_run(no_template_tier, 0xD1FF, 500);
-    let (log_c, ..) = differential_run(no_plan_cache, 0xD1FF, 500);
 
     // The stream must actually exercise both verdicts, or the gate is
     // vacuous.
@@ -229,7 +204,6 @@ fn every_cache_tier_agrees_with_the_reference_evaluator() {
     // The caches are transparent: every configuration makes the same
     // decision on the same statement stream.
     assert_eq!(log_a, log_b, "template tier changed a verdict");
-    assert_eq!(log_a, log_c, "plan cache changed a verdict");
 
     // And the whole run is deterministic.
     let (log_a2, ..) = differential_run(full, 0xD1FF, 500);
